@@ -9,7 +9,7 @@ adversarial end-to-end scenarios.
 """
 
 from .algebra import (GroupParams, PrimeField, get_group, group_names,
-                      lagrange_coefficient, mod_exp, mod_inv)
+                      lagrange_coefficient, mod_inv)
 from .authscore import (AuthScore, FusionPolicy, Modality, ModalityReading,
                         PheKeypair, PhePublicKey, fuse_encrypted,
                         fuse_local, gate, phe_add, phe_decrypt, phe_encrypt,

@@ -54,23 +54,6 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise ParameterError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ParameterError(f"exponent must be non-negative, got {exponent}")
-    result = 1
-    acc = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * acc % modulus
-        acc = acc * acc % modulus
-        e >>= 1
-    return result
-
-
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a modulo m via extended Euclid.
 

@@ -635,20 +635,16 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
     group = pd.pubkey.group
     quorum = pd.pubkey.params.t + 1
 
+    own = pd._own_signer
+    ready = []
     if strategy.case is Case.CASE1:
-        signer = DeviceSigner(Share(index=1, value=pd._secret_key), group)
-        commitment = signer.round1(session, flow.rng)
-        c = flow.challenge_fn(commitment.commitment, pd.pubkey.y,
-                              message_bytes, group)
-        partial = signer.round2(session, c, [1])
-        return combine([commitment], [partial], pd.pubkey, message_bytes,
-                       challenge_fn=flow.challenge_fn)
-
-    if strategy.case is Case.CASE2:
+        # The whole key: a one-signer quorum with no device messages.
+        if pd._secret_key is not None:
+            own = DeviceSigner(Share(index=1, value=pd._secret_key), group)
+    elif strategy.case is Case.CASE2:
         ready = [dd for dd in live if dd._persistent_signer is not None]
     else:  # CASE3: deliver helper data; a device joins only if its
         # regenerated share passes the commitment check.
-        ready = []
         for dd in live:
             helper = pd.helper_store.get(dd.index)
             if helper is None:
@@ -669,8 +665,8 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                 ready.append(dd)
 
     participants: list = []   # (index, round1 target)
-    if pd._own_signer is not None:
-        participants.append((pd._own_signer.index, None))
+    if own is not None:
+        participants.append((own.index, None))
     participants.extend((dd.index, dd) for dd in ready)
     participants.sort(key=lambda pair: pair[0])
     if len(participants) < quorum:
@@ -682,7 +678,7 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
     commitments = []
     for index, dd in chosen:
         if dd is None:
-            commitments.append(pd._own_signer.round1(session, flow.rng))
+            commitments.append(own.round1(session, flow.rng))
             continue
         ask = Message(type=MessageType.SIGN_ROUND1, sender=pd.entity_id,
                       receiver=dd.device_id, session_id=session,
@@ -707,7 +703,7 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
     partials = []
     for index, dd in chosen:
         if dd is None:
-            partials.append(pd._own_signer.round2(session, c, signer_set))
+            partials.append(own.round2(session, c, signer_set))
             continue
         ask = Message(type=MessageType.SIGN_ROUND2, sender=pd.entity_id,
                       receiver=dd.device_id, session_id=session,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .algebra import get_group, group_names
 from .authscore import FusionPolicy, Modality, phe_encrypt, phe_keygen
@@ -36,11 +36,12 @@ from .errors import (ConfigError, InsufficientSharesError,
                      InvalidPartialError, NondeterminismError)
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
-                       MessageType, PersonalDevice, ServiceProvider,
-                       enroll, message_to_wire, pd_run_authentication,
-                       request_challenge, signing_message_bytes)
-from .sharing import Share, ThresholdParams, verify_share
-from .thresholdsig import DeviceSigner, combine, compute_challenge_scalar
+                       MessageType, PersonalDevice, ServiceProvider, _denied,
+                       _Flow, _sign_ceremony, enroll, message_to_wire,
+                       pd_run_authentication, request_challenge,
+                       signing_message_bytes)
+from .sharing import ThresholdParams
+from .thresholdsig import compute_challenge_scalar
 
 ADVERSARIES = ("none", "stolen_k", "tamper_partial", "replay", "eavesdrop",
                "score_inflate")
@@ -96,6 +97,8 @@ class ScenarioConfig:
                 and self.score_mode == "local-bypass":
             raise ConfigError(
                 "adversary: score_inflate needs a cloud score_mode")
+        if self.adversary == "tamper_partial" and self.case == 1:
+            raise ConfigError("adversary: tamper_partial needs case 2 or 3")
         if not self.weights or all(w <= 0 for w in self.weights.values()):
             raise ConfigError("weights: need at least one positive weight")
         if any(w < 0 for w in self.weights.values()):
@@ -138,19 +141,7 @@ class ScenarioConfig:
             theta=self.theta, staleness_max=self.staleness_max)
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case, "t": self.t, "n": self.n,
-            "present_devices": list(self.present_devices)
-            if self.present_devices is not None else None,
-            "p_flip": self.p_flip, "impostor": self.impostor,
-            "adversary": self.adversary, "adversary_k": self.adversary_k,
-            "score_mode": self.score_mode, "weights": dict(self.weights),
-            "theta": self.theta, "staleness_max": self.staleness_max,
-            "group": self.group, "code_r": self.code_r,
-            "pd_holds_share": self.pd_holds_share,
-            "paillier_bits": self.paillier_bits,
-            "seed": self.seed, "trials": self.trials,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
@@ -335,76 +326,43 @@ def _run_replay_trial(trial: _Trial) -> tuple:
 
 
 def _run_stolen_k_trial(trial: _Trial) -> tuple:
-    """A rogue gateway drives the flow with only the persistent state of
-    k stolen devices (plus leaked helper data in CASE3), skipping the
-    score gate entirely. With k <= t it can never assemble a signature."""
-    config = trial.config
-    k = config.adversary_k
-    stolen = trial.dds[:k]
-    req, challenge = request_challenge("user1", trial.sp, now=0)
+    """A rogue gateway drives the signing ceremony with only what a thief
+    holds: the public key, commitments and leaked helper data, plus k
+    stolen devices with their persistent state and the thief's own
+    (impostor) templates. It skips the score gate and holds no secret key
+    and no PD share, so with k <= t it can never assemble a signature.
+    Its traffic to the stolen devices stays off the recorded links."""
+    pd = trial.pd
+    rogue = PersonalDevice(user_id=pd.user_id, policy=pd.policy)
+    rogue.entity_id = "rogue-pd"
+    rogue.strategy = pd.strategy
+    rogue.pubkey = pd.pubkey
+    rogue.commitments = pd.commitments
+    rogue.helper_store = pd.helper_store
+    req, challenge = request_challenge(pd.user_id, trial.sp, now=0)
     messages = [req, challenge]
     session = challenge.session_id
     sp_id = challenge.payload["sp_id"]
     nonce = bytes.fromhex(challenge.payload["nonce"])
 
-    signers = []
-    if config.case == 2:
-        # The thief gets exactly what each device persists.
-        for dd in stolen:
-            state = dd.persistent_state()
-            if "key_share_value" in state:
-                share = Share(index=state["index"],
-                              value=state["key_share_value"])
-                signers.append(DeviceSigner(share, trial.group))
-    elif config.case == 3:
-        # Leaked helper data plus the thief's own (impostor) templates.
-        for dd in stolen:
-            helper = trial.pd.helper_store.get(dd.index)
-            if helper is None or dd.current_template is None:
-                continue
-            bits = fe_reproduce(dd.current_template, helper)
-            value = int(bits, 2)
-            if value >= trial.group.q:
-                continue
-            share = Share(index=dd.index, value=value)
-            if verify_share(share, trial.pd.commitments, trial.group):
-                signers.append(DeviceSigner(share, trial.group))
-    # CASE1 leaves signers empty: stolen sensor devices hold no key bits.
-
-    quorum = trial.pd.pubkey.params.t + 1
-    if len(signers) < quorum:
-        result = Message(type=MessageType.AUTH_RESULT, sender="rogue-pd",
-                         receiver="user", session_id=session,
-                         payload={"granted": False,
-                                  "reason": "insufficient-devices"})
-        messages.append(result)
-        return messages, result
-
-    signer_set = sorted(s.index for s in signers)[:quorum]
-    chosen = [s for s in signers if s.index in signer_set]
-    commitments = [s.round1(session, trial.rng_nonce) for s in chosen]
-    R = 1
-    for com in commitments:
-        R = R * com.commitment % trial.group.p
-    message_bytes = signing_message_bytes(sp_id, nonce)
-    c = compute_challenge_scalar(R, trial.pd.pubkey.y, message_bytes,
-                                 trial.group)
-    partials = [s.round2(session, c, signer_set) for s in chosen]
+    flow = _Flow(rogue, trial.dds[:trial.config.adversary_k], None,
+                 trial.rng_nonce, None, compute_challenge_scalar)
     try:
-        sig = combine(commitments, partials, trial.pd.pubkey, message_bytes)
-    except (InsufficientSharesError, InvalidPartialError):
-        result = Message(type=MessageType.AUTH_RESULT, sender="rogue-pd",
-                         receiver="user", session_id=session,
-                         payload={"granted": False,
-                                  "reason": "invalid-partial"})
-        messages.append(result)
-        return messages, result
-    response = Message(type=MessageType.AUTH_RESPONSE, sender="rogue-pd",
-                       receiver=sp_id, session_id=session,
-                       payload={"user_id": "user1", "nonce": nonce.hex(),
-                                "signature": sig.to_json()})
-    messages.append(response)
-    result = trial.sp.verify(response, now=0)
+        sig = _sign_ceremony(flow, session,
+                             signing_message_bytes(sp_id, nonce), flow.dds)
+    except InsufficientSharesError:
+        result = _denied(rogue, session, "insufficient-devices")
+    except InvalidPartialError:
+        result = _denied(rogue, session, "invalid-partial")
+    else:
+        response = Message(type=MessageType.AUTH_RESPONSE,
+                           sender=rogue.entity_id, receiver=sp_id,
+                           session_id=session,
+                           payload={"user_id": rogue.user_id,
+                                    "nonce": nonce.hex(),
+                                    "signature": sig.to_json()})
+        messages.append(response)
+        result = trial.sp.verify(response, now=0)
     messages.append(result)
     return messages, result
 

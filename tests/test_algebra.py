@@ -3,41 +3,8 @@ import random
 import pytest
 
 from faskit.algebra import (GroupParams, PrimeField, get_group, group_names,
-                            is_probable_prime, lagrange_coefficient,
-                            mod_exp, mod_inv)
+                            is_probable_prime, lagrange_coefficient, mod_inv)
 from faskit.errors import NonInvertibleError, ParameterError
-
-
-def naive_exp(base, exponent, modulus):
-    # Independent oracle: repeated multiplication.
-    result = 1
-    for _ in range(exponent):
-        result = result * base % modulus
-    return result
-
-
-def test_mod_exp_known_answers():
-    assert mod_exp(2, 11, 23) == 1      # 2^11 = 2048 = 89*23 + 1
-    assert mod_exp(2, 7, 23) == 13      # 128 - 5*23
-    for x in (1, 3, 7, 22):
-        assert mod_exp(x, 0, 23) == 1   # empty product
-
-
-def test_mod_exp_matches_naive_oracle():
-    rng = random.Random(1)
-    for _ in range(200):
-        base = rng.randrange(0, 1000)
-        exponent = rng.randrange(0, 2 ** 10)
-        modulus = rng.randrange(2, 1000)
-        assert mod_exp(base, exponent, modulus) == \
-            naive_exp(base, exponent, modulus)
-
-
-def test_mod_exp_rejects_bad_modulus():
-    with pytest.raises(ParameterError):
-        mod_exp(2, 3, 1)
-    with pytest.raises(ParameterError):
-        mod_exp(2, -1, 23)
 
 
 def test_mod_inv_known_answers():

@@ -27,6 +27,7 @@ def test_config_validation_names_the_field():
         ({"adversary": "stolen_k", "adversary_k": 9}, "adversary_k"),
         ({"score_mode": "psychic"}, "score_mode"),
         ({"adversary": "score_inflate"}, "adversary"),
+        ({"case": 1, "adversary": "tamper_partial"}, "adversary"),
         ({"weights": {}}, "weights"),
         ({"weights": {"sonar": 1.0}}, "weights.sonar"),
         ({"theta": 1.5}, "theta"),
