@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import is_probable_prime, mod_inv
-from .errors import ParameterError
+from .errors import NonInvertibleError, ParameterError
 
 SCORE_SCALE = 100          # quantization: score 0..1 -> integer 0..100
 WEIGHT_SCALE = 10 ** 6     # integerized fusion weights for the cloud path
@@ -166,9 +166,22 @@ class PhePublicKey:
 
 @dataclass(frozen=True)
 class PheKeypair:
+    """The private key, held by the gateway: the primes of n and the
+    constants that let it compute mod p^2 and q^2 instead of mod n^2
+    (Paillier, EUROCRYPT 1999, section 7). Build it with
+    keypair_from_primes."""
+
     public: PhePublicKey
-    lam: int    # lcm(p-1, q-1)
-    mu: int     # inverse of L(g^lam mod n^2) mod n
+    p: int
+    q: int
+    p_sq: int
+    q_sq: int
+    h_p: int            # (-q)^-1 mod p, i.e. L_p(g^(p-1) mod p^2)^-1
+    h_q: int            # (-p)^-1 mod q
+    n_mod_p: int        # n mod p(p-1), the order of the units mod p^2
+    n_mod_q: int        # n mod q(q-1)
+    q_inv: int          # q^-1 mod p, recombines mod n
+    q_sq_inv: int       # q^-2 mod p^2, recombines mod n^2
 
 
 PheCiphertext = int
@@ -202,22 +215,34 @@ def keypair_from_primes(p: int, q: int) -> PheKeypair:
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ParameterError("Paillier factors must be prime")
     n = p * q
-    g = n + 1
-    lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    mu = mod_inv(_paillier_l(pow(g, lam, n * n), n), n)
-    return PheKeypair(public=PhePublicKey(n=n, g=g), lam=lam, mu=mu)
+    if math.gcd(n, (p - 1) * (q - 1)) != 1:
+        raise NonInvertibleError(
+            f"Paillier needs gcd(n, (p-1)(q-1)) = 1; fails for {p}, {q}")
+    p_sq, q_sq = p * p, q * q
+    return PheKeypair(public=PhePublicKey(n=n, g=n + 1), p=p, q=q,
+                      p_sq=p_sq, q_sq=q_sq,
+                      h_p=mod_inv(-q, p), h_q=mod_inv(-p, q),
+                      n_mod_p=n % (p * (p - 1)), n_mod_q=n % (q * (q - 1)),
+                      q_inv=mod_inv(q, p), q_sq_inv=mod_inv(q_sq, p_sq))
 
 
-def _paillier_l(u: int, n: int) -> int:
-    return (u - 1) // n
+def _crt(a_p: int, a_q: int, m_p: int, m_q: int, m_q_inv: int) -> int:
+    """The x in [0, m_p*m_q) with x = a_p mod m_p and x = a_q mod m_q,
+    for a_q in [0, m_q) and m_q_inv = m_q^-1 mod m_p (Garner)."""
+    return a_q + m_q * ((a_p - a_q) * m_q_inv % m_p)
 
 
-def phe_encrypt(m: int, public: PhePublicKey, rng: random.Random,
+def phe_encrypt(m: int, key: PhePublicKey | PheKeypair, rng: random.Random,
                 rho: int | None = None) -> PheCiphertext:
     """Enc(m; rho) = g^m * rho^n mod n^2 with rho random coprime to n.
 
+    `key` is the public key, or the keypair at the key holder. The
+    keypair gives the same ciphertext faster: g^m = 1 + m*n mod n^2, and
+    rho^n comes from two half-size exponentiations mod p^2 and q^2
+    joined by CRT. rho is drawn by the same rng calls either way.
     Passing rho explicitly is a test hook for known-answer checks.
     """
+    public = key.public if isinstance(key, PheKeypair) else key
     if not 0 <= m < public.n:
         raise ParameterError(f"plaintext must lie in [0, {public.n})")
     if rho is None:
@@ -227,7 +252,12 @@ def phe_encrypt(m: int, public: PhePublicKey, rng: random.Random,
     elif math.gcd(rho, public.n) != 1:
         raise ParameterError("rho must be coprime to n")
     n_sq = public.n_sq
-    return pow(public.g, m, n_sq) * pow(rho, public.n, n_sq) % n_sq
+    if public is key:  # no private key: the textbook formula
+        return pow(public.g, m, n_sq) * pow(rho, public.n, n_sq) % n_sq
+    rho_n = _crt(pow(rho, key.n_mod_p, key.p_sq),
+                 pow(rho, key.n_mod_q, key.q_sq),
+                 key.p_sq, key.q_sq, key.q_sq_inv)
+    return (1 + m * public.n) * rho_n % n_sq
 
 
 def phe_add(c1: PheCiphertext, c2: PheCiphertext,
@@ -244,11 +274,22 @@ def phe_scale(c: PheCiphertext, k: int, public: PhePublicKey) -> PheCiphertext:
 
 
 def phe_decrypt(c: PheCiphertext, keypair: PheKeypair) -> int:
-    n = keypair.public.n
-    if not 0 <= c < keypair.public.n_sq:
+    """The plaintext of c by CRT: m_p = L_p(c^(p-1) mod p^2) * h_p mod p
+    with L_p(u) = (u - 1) / p, likewise m_q, joined mod n.
+
+    For every c coprime to n, which includes everything phe_encrypt,
+    phe_add, phe_scale and fuse_encrypted produce, this equals the
+    textbook L(c^lam mod n^2) * mu mod n. A c that shares a factor with
+    n encrypts nothing and decrypts differently from the textbook
+    formula; only a forged reply can carry one, and the gateway's
+    cross-check against its local fusion discards it.
+    """
+    k = keypair
+    if not 0 <= c < k.public.n_sq:
         raise ParameterError("ciphertext out of range")
-    return _paillier_l(pow(c, keypair.lam, keypair.public.n_sq), n) \
-        * keypair.mu % n
+    m_p = (pow(c, k.p - 1, k.p_sq) - 1) // k.p * k.h_p % k.p
+    m_q = (pow(c, k.q - 1, k.q_sq) - 1) // k.q * k.h_q % k.q
+    return _crt(m_p, m_q, k.p, k.q, k.q_inv)
 
 
 def fuse_encrypted(encrypted_scores: dict, integer_weights: dict,

@@ -4,7 +4,7 @@ Entities: the user's gateway PersonalDevice (PD), sensor-bearing
 DumbDevices (DDs) that talk only to the PD, the ServiceProvider (SP) that
 challenges and verifies, and the FaspService that assists with score
 fusion. All interaction is modeled as immutable Messages; every entity
-keeps an append-only transcript of what it sent and received, which is
+keeps a transcript of the last 64 messages it sent and received, which is
 what dispute resolution audits offline.
 
 A flow runs: AuthRequest -> Challenge -> sensor collection -> score
@@ -24,12 +24,15 @@ The gate always derives from the raw readings the PD collected: in cloud
 score modes the PD cross-checks the service's fused value against its own
 local fusion and falls back to the local value on disagreement beyond the
 quantization tolerance, so a forged ScoreResponse cannot open the gate.
+A reply that does not parse, or whose ciphertext is out of range, counts
+as such a disagreement.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,6 +57,7 @@ WIRE_VERSION = "FAS-v1"
 NONCE_BYTES = 32
 DEFAULT_NONCE_TTL = 100
 CLOUD_AGREEMENT_TOL = 0.01
+_TRANSCRIPT_WINDOW = 64
 
 
 class MessageType(str, Enum):
@@ -130,10 +134,12 @@ class CaseStrategy:
 
 
 class _Transcript:
-    """Append-only per-entity message log (audit support)."""
+    """Per-entity message log (audit support): the last
+    _TRANSCRIPT_WINDOW messages the entity sent or received, oldest
+    first, so a long-lived entity keeps bounded memory."""
 
     def __init__(self):
-        self.transcript: list = []
+        self.transcript: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
     def record(self, msg: Message) -> None:
         self.transcript.append(msg)
@@ -599,11 +605,11 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
                    "scores": {m.value: quantize_score(v)
                               for m, v in means.items()}}
     else:
-        pub = pd.paillier.public
         payload = {"user_id": pd.user_id, "mode": "encrypted",
                    "ciphertexts": {
-                       m.value: format(
-                           phe_encrypt(quantize_score(v), pub, flow.rng), "x")
+                       m.value: format(phe_encrypt(quantize_score(v),
+                                                   pd.paillier, flow.rng),
+                                       "x")
                        for m, v in means.items()}}
     # Note: no sp_id in the payload; the scoring service must not learn
     # where the user is authenticating.
@@ -614,18 +620,45 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
     reply = flow.fasp.handle_score_request(delivered)
     reply = flow.send(reply, None, pd)
 
-    if pd.score_mode == "cloud-plain":
-        cloud_value = float(reply.payload["value"])
-    else:
-        fused = int(reply.payload["ciphertext"], 16)
-        weights = pd.policy.integer_weights(means.keys())
-        cloud_value = normalize_fused(phe_decrypt(fused, pd.paillier),
-                                      weights)
-    if abs(cloud_value - local.value) > CLOUD_AGREEMENT_TOL:
-        # Tampered or forged response: distrust it, gate on raw readings.
+    cloud_value = _cloud_value(pd, reply, means)
+    if cloud_value is None or \
+            not abs(cloud_value - local.value) <= CLOUD_AGREEMENT_TOL:
+        # Tampered, forged or unparseable response (a NaN fails the
+        # comparison too): distrust it, gate on raw readings.
         return local
     return AuthScore(value=cloud_value, contributing=local.contributing,
                      mode="cloud")
+
+
+def _cloud_value(pd: PersonalDevice, reply: Message,
+                 means: dict) -> float | None:
+    """The fused score a ScoreResponse claims, or None when its payload
+    does not parse or its ciphertext lies outside [0, n^2)."""
+    try:
+        if pd.score_mode == "cloud-plain":
+            return float(reply.payload["value"])
+        fused = int(reply.payload["ciphertext"], 16)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if not 0 <= fused < pd.paillier.public.n_sq:
+        return None
+    weights = pd.policy.integer_weights(means.keys())
+    return normalize_fused(phe_decrypt(fused, pd.paillier), weights)
+
+
+def _answer_value(answer: Message, index: int, key: str, bound: int) -> int:
+    """The hex field `key` of signer `index`'s answer. An answer that does
+    not parse, names another signer or lies outside [0, bound) is a bad
+    partial."""
+    try:
+        sender, value = answer.payload["index"], int(answer.payload[key], 16)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidPartialError(
+            f"signer {index}: malformed {answer.type.value} answer") from exc
+    if sender != index or not 0 <= value < bound:
+        raise InvalidPartialError(
+            f"signer {index}: bad {answer.type.value} answer")
+    return value
 
 
 def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
@@ -691,8 +724,8 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                                   "R": format(com.commitment, "x")})
         delivered = flow.send(answer, dd, pd)
         commitments.append(NonceCommitment(
-            index=int(delivered.payload["index"]),
-            commitment=int(delivered.payload["R"], 16),
+            index=index, commitment=_answer_value(delivered, index, "R",
+                                                  group.p),
             session_id=session))
 
     R = 1
@@ -717,8 +750,8 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                                   "s": format(part.s, "x")})
         delivered = flow.send(answer, dd, pd)
         partials.append(PartialSignature(
-            index=int(delivered.payload["index"]),
-            s=int(delivered.payload["s"], 16), session_id=session))
+            index=index, s=_answer_value(delivered, index, "s", group.q),
+            session_id=session))
 
     return combine(commitments, partials, pd.pubkey, message_bytes,
                    challenge_fn=flow.challenge_fn)

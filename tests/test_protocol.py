@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from faskit.algebra import get_group
 from faskit.authscore import FusionPolicy, Modality, phe_keygen
 from faskit.errors import (ParameterError, PolicyError, RegistrationError)
 from faskit.fuzzyextractor import CodeParams
@@ -11,6 +12,7 @@ from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
                              ServiceProvider, enroll, message_from_wire,
                              message_to_wire, pd_run_authentication,
                              request_challenge, signing_message_bytes)
+from faskit.protocol import _TRANSCRIPT_WINDOW
 from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import Signature
 
@@ -18,6 +20,7 @@ from conftest import ScriptedRng
 
 G, L, H = Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT
 MODS = (G, L, H)
+SIM = get_group("sim")
 
 
 def make_policy(theta=0.7):
@@ -410,6 +413,81 @@ def test_forged_score_response_cannot_open_the_gate(sim_group):
     assert result.payload == {"granted": False, "reason": "score"}
 
 
+def replace_first(msg_type, mutate):
+    """A transit hook that applies `mutate` to the payload of the first
+    message of `msg_type` sent by anyone but the PD."""
+    done = []
+
+    def hook(msg):
+        if msg.type is not msg_type or msg.sender == "pd" or done:
+            return msg
+        done.append(msg)
+        return Message(type=msg.type, sender=msg.sender,
+                       receiver=msg.receiver, session_id=msg.session_id,
+                       payload=mutate(dict(msg.payload)))
+    return hook
+
+
+def set_field(key, value):
+    def mutate(payload):
+        payload[key] = value
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize("score_mode, key, forged", [
+    ("cloud-encrypted", "ciphertext", "-1"),
+    ("cloud-encrypted", "ciphertext", "zz"),
+    ("cloud-encrypted", "ciphertext", "n^2"),
+    ("cloud-encrypted", "ciphertext", None),
+    ("cloud-plain", "value", "zz"),
+    ("cloud-plain", "value", "nan"),
+])
+def test_unparseable_score_response_falls_back_to_local_fusion(
+        sim_group, score_mode, key, forged):
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode=score_mode)
+    if forged == "n^2":
+        forged = format(pd.paillier.public.n_sq, "x")
+    # Every device reads 0.9, so local fusion opens the gate.
+    _, result = authenticate(pd, dds, sp, rng, fasp=fasp, transit_hook=
+                             replace_first(MessageType.SCORE_RESPONSE,
+                                           set_field(key, forged)))
+    assert result.payload == {"granted": True, "reason": "ok"}
+
+
+def bump_field(key, modulus):
+    def mutate(payload):
+        payload[key] = format((int(payload[key], 16) + 1) % modulus, "x")
+        return payload
+    return mutate
+
+
+SIGNING_MUTATIONS = {
+    "round1-R-not-hex": (MessageType.SIGN_ROUND1, set_field("R", "zz")),
+    "round1-R-changed": (MessageType.SIGN_ROUND1, bump_field("R", SIM.p)),
+    "round1-foreign-index": (MessageType.SIGN_ROUND1, set_field("index", 2)),
+    "round2-s-not-hex": (MessageType.SIGN_ROUND2, set_field("s", "zz")),
+    "round2-s-changed": (MessageType.SIGN_ROUND2, bump_field("s", SIM.q)),
+    "round2-foreign-index": (MessageType.SIGN_ROUND2, set_field("index", 2)),
+}
+
+
+@pytest.mark.parametrize("case", [Case.CASE2, Case.CASE3])
+@pytest.mark.parametrize("mutation", sorted(SIGNING_MUTATIONS))
+def test_malformed_signing_answer_is_an_invalid_partial(sim_group, case,
+                                                        mutation):
+    # Signers 1 and 2 make the quorum; each mutation hits signer 1's
+    # answer, and a foreign index names signer 2.
+    pd, dds, sp, _, rng, _ = make_user(case, 1, 3, sim_group)
+    msg_type, mutate = SIGNING_MUTATIONS[mutation]
+    messages, result = authenticate(pd, dds, sp, rng, transit_hook=
+                                    replace_first(msg_type, mutate))
+    assert result.payload == {"granted": False,
+                              "reason": "invalid-partial"}
+    assert all(m.type is not MessageType.AUTH_RESPONSE for m in messages)
+
+
 def test_local_bypass_sends_no_fasp_traffic(sim_group):
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
     messages, _ = authenticate(pd, dds, sp, rng)
@@ -446,6 +524,17 @@ def test_entities_keep_append_only_transcripts(sim_group):
     for dd in dds[:2]:
         assert any(m.type is MessageType.SENSOR_READING
                    for m in dd.transcript)
+
+
+def test_entity_transcripts_keep_the_last_window(sim_group):
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+    # 13 messages reach the PD and 4 the SP per session.
+    for now in range(20):
+        messages, result = authenticate(pd, dds, sp, rng, now=now)
+    assert result.payload["granted"] is True
+    assert len(pd.transcript) == len(sp.transcript) == _TRANSCRIPT_WINDOW
+    assert pd.transcript[-1] is messages[-2]    # the PD's AuthResponse
+    assert sp.transcript[-1] is result
 
 
 def test_devices_talk_only_to_the_gateway(sim_group):
