@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NonInvertibleError, ParameterError
 
@@ -99,7 +100,9 @@ class PrimeField:
 class GroupParams:
     """A Schnorr group: the order-q subgroup of Z_p* generated by g.
 
-    Exponent arithmetic lives in PrimeField(q); q divides p - 1.
+    Exponent arithmetic lives in PrimeField(q); q divides p - 1. Every
+    g^x goes through power(), whose comb table each instance builds once,
+    on first use.
     """
 
     p: int
@@ -115,6 +118,7 @@ class GroupParams:
             raise ParameterError("q does not divide p - 1")
         if self.g in (0, 1) or self.g >= self.p:
             raise ParameterError("generator g out of range")
+        # Builtin pow: power() reduces its exponent mod q.
         if pow(self.g, self.q, self.p) != 1:
             raise ParameterError("g does not generate an order-q subgroup")
 
@@ -131,8 +135,37 @@ class GroupParams:
         """Membership test for the order-q subgroup."""
         return 0 < x < self.p and pow(x, self.q, self.p) == 1
 
+    @cached_property
+    def _comb(self):
+        """The fixed-base comb for g (Lim and Lee, CRYPTO 1994) with 8
+        teeth a = ceil(bitlen(q)/8) bits apart.
+
+        Returns (a, teeth, table): teeth has bit j*a set for j = 0..7, and
+        table maps each pattern u of those bits to the product of
+        g^(2^(j*a)) over the bits j*a set in u, 256 entries.
+        """
+        a = -(-self.q.bit_length() // 8)
+        table = {0: 1}
+        tooth = self.g
+        for j in range(8):
+            table.update({u | 1 << j * a: v * tooth % self.p
+                          for u, v in table.items()})
+            tooth = pow(tooth, 1 << a, self.p)
+        return a, sum(1 << j * a for j in range(8)), table
+
     def power(self, exponent: int) -> GroupElement:
-        return pow(self.g, exponent % self.q, self.p)
+        """g^exponent mod p, the exponent taken mod q: a squarings and at
+        most a table multiplications on the comb."""
+        a, teeth, table = self._comb
+        e = exponent % self.q
+        p = self.p
+        x = 1
+        for i in range(a - 1, -1, -1):
+            x = x * x % p
+            column = e >> i & teeth
+            if column:
+                x = x * table[column] % p
+        return x
 
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")

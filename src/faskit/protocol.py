@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -150,7 +150,12 @@ class _Transcript:
 # ---------------------------------------------------------------------------
 
 class ServiceProvider(_Transcript):
-    """Issues single-use challenges and verifies signed responses."""
+    """Issues single-use challenges and verifies signed responses.
+
+    A nonce is kept until a later challenge finds it older than the TTL;
+    a response carrying a nonce evicted that way is denied
+    "nonce-unknown", even one that was already used.
+    """
 
     def __init__(self, sp_id: str, rng: random.Random,
                  nonce_ttl: int = DEFAULT_NONCE_TTL,
@@ -161,7 +166,7 @@ class ServiceProvider(_Transcript):
         self._nonce_ttl = nonce_ttl
         self._challenge_fn = challenge_fn
         self._users: dict = {}
-        self._nonces: dict = {}
+        self._nonces: OrderedDict = OrderedDict()   # in issue order
         self._session_counter = 0
 
     def register_user(self, record: RegistrationRecord) -> None:
@@ -175,6 +180,11 @@ class ServiceProvider(_Transcript):
                         now: int) -> Message:
         if user_id not in self._users:
             raise RegistrationError(f"unknown user {user_id!r}")
+        while self._nonces:
+            oldest = next(iter(self._nonces.values()))
+            if now - oldest["issued"] <= self._nonce_ttl:
+                break
+            self._nonces.popitem(last=False)
         nonce = self._rng.getrandbits(8 * NONCE_BYTES).to_bytes(
             NONCE_BYTES, "big")
         while nonce.hex() in self._nonces:
@@ -265,31 +275,34 @@ class FaspService(_Transcript):
         if policy is None:
             raise PolicyError(f"no fusion policy for user {user_id!r}")
         mode = msg.payload.get("mode")
+        # A request whose scores or ciphertexts do not parse gets a reply
+        # with no value, which the PD treats as disagreement.
+        payload = {"user_id": user_id, "mode": mode}
         if mode == "plain":
-            scores = {Modality(k): int(v)
-                      for k, v in msg.payload["scores"].items()}
-            # A plain-mode service retains what it was sent; the privacy
-            # inspection in the simulator points at exactly this.
-            self._plain_scores_seen.extend(sorted(
-                (m.value, v) for m, v in scores.items()))
-            weights = {m: w for m, w in policy.weights.items()
-                       if m in scores and w > 0}
-            total = sum(weights.values())
-            value = 0.0
-            if total > 0:
-                value = sum(w * scores[m] for m, w in weights.items()) \
-                    / total / 100.0
-            payload = {"user_id": user_id, "mode": "plain", "value": value}
+            scores = _request_values(msg.payload, "scores", int)
+            if scores is not None:
+                # A plain-mode service retains what it was sent; the
+                # privacy inspection in the simulator points at this.
+                self._plain_scores_seen.extend(sorted(
+                    (m.value, v) for m, v in scores.items()))
+                weights = {m: w for m, w in policy.weights.items()
+                           if m in scores and w > 0}
+                total = sum(weights.values())
+                value = 0.0
+                if total > 0:
+                    value = sum(w * scores[m]
+                                for m, w in weights.items()) / total / 100.0
+                payload["value"] = value
         elif mode == "encrypted":
             pub = self._paillier_pubs.get(user_id)
             if pub is None:
                 raise PolicyError(f"no encryption key for user {user_id!r}")
-            ciphertexts = {Modality(k): int(v, 16)
-                           for k, v in msg.payload["ciphertexts"].items()}
-            weights = policy.integer_weights(ciphertexts.keys())
-            fused = fuse_encrypted(ciphertexts, weights, pub)
-            payload = {"user_id": user_id, "mode": "encrypted",
-                       "ciphertext": format(fused, "x")}
+            ciphertexts = _request_values(msg.payload, "ciphertexts",
+                                          lambda v: int(v, 16))
+            weights = policy.integer_weights(ciphertexts or ())
+            if sum(weights.values()) > 0:
+                fused = fuse_encrypted(ciphertexts, weights, pub)
+                payload["ciphertext"] = format(fused, "x")
         else:
             raise PolicyError(f"unknown score mode {mode!r}")
         reply = Message(type=MessageType.SCORE_RESPONSE,
@@ -301,6 +314,18 @@ class FaspService(_Transcript):
     def state_snapshot(self) -> dict:
         """Inspection hook: every plaintext score this service retains."""
         return {"plaintext_scores": list(self._plain_scores_seen)}
+
+
+def _request_values(payload: dict, key: str, parse) -> dict | None:
+    """{Modality: parse(value)} over the ScoreRequest field `key`, or None
+    when that field is not a dict or any entry does not parse."""
+    raw = payload.get(key)
+    if not isinstance(raw, dict):
+        return None
+    try:
+        return {Modality(k): parse(v) for k, v in raw.items()}
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +578,9 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
                               sender=dd.device_id, receiver=pd.entity_id,
                               session_id=session,
                               payload=reading.to_json())
-                delivered = flow.send(msg, dd, pd)
-                p = delivered.payload
-                pd.buffer_reading(ModalityReading(
-                    device_id=p["device_id"], modality=Modality(p["modality"]),
-                    score=p["score"], timestamp=p["timestamp"]))
+                parsed = _parse_reading(flow.send(msg, dd, pd).payload)
+                if parsed is not None:
+                    pd.buffer_reading(parsed)
 
         # Step 3b: fuse and gate. The local fusion over raw readings is
         # always computed; cloud modes must agree with it to be believed.
@@ -588,6 +611,19 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         for dd in live:
             dd.end_session(session)
         pd.reading_buffer.clear()
+
+
+def _parse_reading(payload: dict) -> ModalityReading | None:
+    """The reading a SensorReading carries, or None when it does not parse
+    or its score lies outside [0, 1]; the PD drops such a reading and
+    gates on the rest."""
+    try:
+        return ModalityReading(device_id=str(payload["device_id"]),
+                               modality=Modality(payload["modality"]),
+                               score=float(payload["score"]),
+                               timestamp=int(payload["timestamp"]))
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError):
+        return None
 
 
 def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
@@ -688,12 +724,16 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                                payload={"helper": helper.to_json(),
                                         "commitments":
                                             pd.commitments.to_json()})
-            delivered = flow.send(delivery, pd, dd)
-            ok = dd.receive_helper(
-                HelperData.from_json(delivered.payload["helper"]),
-                FeldmanCommitments.from_json(
-                    delivered.payload["commitments"]),
-                group, session)
+            payload = flow.send(delivery, pd, dd).payload
+            try:
+                ok = dd.receive_helper(
+                    HelperData.from_json(payload["helper"]),
+                    FeldmanCommitments.from_json(payload["commitments"]),
+                    group, session)
+            except (KeyError, TypeError, ValueError, ParameterError):
+                # A payload that does not parse, or a helper that does not
+                # fit the device's template: the device sits out.
+                ok = False
             if ok:
                 ready.append(dd)
 

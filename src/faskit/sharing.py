@@ -96,7 +96,7 @@ def share_secret(secret: Scalar, params: ThresholdParams, group: GroupParams,
     shares = [Share(index=i, value=_eval_poly(coeffs, i, q))
               for i in range(1, params.n + 1)]
     commitments = FeldmanCommitments(
-        commitments=tuple(pow(group.g, a, group.p) for a in coeffs))
+        commitments=tuple(group.power(a) for a in coeffs))
     return shares, commitments
 
 
@@ -105,7 +105,7 @@ def verify_share(share: Share, commitments: FeldmanCommitments,
     """Check g^value == prod_k C_k^(index^k) mod p."""
     if share.index < 1:
         raise ParameterError(f"share index must be >= 1, got {share.index}")
-    lhs = pow(group.g, share.value % group.q, group.p)
+    lhs = group.power(share.value)
     rhs = 1
     e = 1  # index^k mod q, valid exponent since the C_k have order q
     for c in commitments.commitments:

@@ -82,7 +82,7 @@ def keygen_dealer(params: ThresholdParams, group: GroupParams,
     """
     x = rng.randrange(group.q)
     shares, commitments = share_secret(x, params, group, rng)
-    y = pow(group.g, x, group.p)
+    y = group.power(x)
     return GroupPublicKey(y=y, group=group, params=params), shares, commitments
 
 
@@ -98,7 +98,7 @@ def sign_round1(key_share: KeyShare, group: GroupParams, session_id: str,
     while k == 0:
         k = rng.randrange(group.q)
     commitment = NonceCommitment(index=key_share.index,
-                                 commitment=pow(group.g, k, group.p),
+                                 commitment=group.power(k),
                                  session_id=session_id)
     return k, commitment
 
@@ -166,7 +166,7 @@ def verify(pubkey: GroupPublicKey, message: bytes, sig: Signature,
     if not 0 < sig.R < group.p or not 0 <= sig.s < group.q:
         return False
     c = challenge_fn(sig.R, pubkey.y, message, group)
-    lhs = pow(group.g, sig.s, group.p)
+    lhs = group.power(sig.s)
     rhs = sig.R * pow(pubkey.y, c, group.p) % group.p
     return lhs == rhs
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faskit.algebra import (GroupParams, PrimeField, get_group, group_names,
                             is_probable_prime, lagrange_coefficient, mod_inv)
@@ -132,3 +134,20 @@ def test_element_membership_and_encoding(kat_group):
     assert kat_group.element_bytes == 1
     assert kat_group.encode_element(13) == b"\x0d"
     assert get_group("prod2048").element_bytes == 256
+
+
+@pytest.mark.parametrize("name", ["kat", "sim", "prod2048"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(multiple=st.integers(-3, 3), offset=st.integers(-2 ** 300, 2 ** 300))
+# The exponent is multiple * q + offset, so these are 0, 1, q - 1, q, -1
+# and 2q + 5 in every group.
+@example(multiple=0, offset=0)
+@example(multiple=0, offset=1)
+@example(multiple=1, offset=-1)
+@example(multiple=1, offset=0)
+@example(multiple=0, offset=-1)
+@example(multiple=2, offset=5)
+def test_power_matches_builtin_pow(name, multiple, offset):
+    group = get_group(name)
+    exponent = multiple * group.q + offset
+    assert group.power(exponent) == pow(group.g, exponent % group.q, group.p)

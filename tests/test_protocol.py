@@ -413,13 +413,15 @@ def test_forged_score_response_cannot_open_the_gate(sim_group):
     assert result.payload == {"granted": False, "reason": "score"}
 
 
-def replace_first(msg_type, mutate):
+def replace_first(msg_type, mutate, by_pd=False):
     """A transit hook that applies `mutate` to the payload of the first
-    message of `msg_type` sent by anyone but the PD."""
+    message of `msg_type` sent by the PD if `by_pd`, else by anyone but
+    the PD."""
     done = []
 
     def hook(msg):
-        if msg.type is not msg_type or msg.sender == "pd" or done:
+        if msg.type is not msg_type or (msg.sender == "pd") != by_pd \
+                or done:
             return msg
         done.append(msg)
         return Message(type=msg.type, sender=msg.sender,
@@ -486,6 +488,64 @@ def test_malformed_signing_answer_is_an_invalid_partial(sim_group, case,
     assert result.payload == {"granted": False,
                               "reason": "invalid-partial"}
     assert all(m.type is not MessageType.AUTH_RESPONSE for m in messages)
+
+
+def garble_ciphertexts(payload):
+    payload["ciphertexts"] = {k: "zz" for k in payload["ciphertexts"]}
+    return payload
+
+
+def truncate_helper(payload):
+    payload["helper"] = dict(payload["helper"], bits="ab12")
+    return payload
+
+
+# (case, score mode, message type, sent by the PD, mutation, signers).
+# Each mutation hits the first message of its type; for a sensor reading
+# or a helper delivery, that is dd1's.
+TRANSIT_MUTATIONS = {
+    # The service answers with no value; the PD gates on local fusion.
+    "score-request-not-hex": (Case.CASE2, "cloud-encrypted",
+                              MessageType.SCORE_REQUEST, True,
+                              garble_ciphertexts, ["dd1", "dd2"]),
+    # The PD drops dd1's reading and gates on the other two.
+    "sensor-score-out-of-range": (Case.CASE3, "local-bypass",
+                                  MessageType.SENSOR_READING, False,
+                                  set_field("score", 7.0), ["dd1", "dd2"]),
+    # dd1 sits the session out; dd2 and dd3 make the quorum.
+    "helper-truncated": (Case.CASE3, "local-bypass",
+                         MessageType.HELPER_DELIVERY, True,
+                         truncate_helper, ["dd2", "dd3"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TRANSIT_MUTATIONS))
+def test_mangled_message_ends_in_a_decision(sim_group, mutation):
+    case, score_mode, msg_type, by_pd, mutate, signers = \
+        TRANSIT_MUTATIONS[mutation]
+    pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, sim_group,
+                                          score_mode=score_mode)
+    messages, result = authenticate(pd, dds, sp, rng, fasp=fasp,
+                                    transit_hook=replace_first(
+                                        msg_type, mutate, by_pd=by_pd))
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert [m.receiver for m in messages
+            if m.type is MessageType.SIGN_ROUND1 and m.sender == "pd"] \
+        == signers
+
+
+def test_service_provider_forgets_nonces_past_the_ttl(sim_group):
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+    messages, result = authenticate(pd, dds, sp, rng, now=0)
+    assert result.payload["granted"] is True
+    response = messages[-2]
+    # 199 more challenges over 1,000 ticks with the default TTL of 100:
+    # only those issued at 895..995 are still held.
+    for now in range(5, 1000, 5):
+        request_challenge("user1", sp, now)
+    assert len(sp._nonces) == 21
+    assert sp.verify(response, now=995).payload == {
+        "granted": False, "reason": "nonce-unknown"}
 
 
 def test_local_bypass_sends_no_fasp_traffic(sim_group):
