@@ -89,12 +89,6 @@ class PrimeField:
         if not is_probable_prime(self.q):
             raise ParameterError(f"field modulus {self.q} is not prime")
 
-    def reduce(self, value: int) -> Scalar:
-        return value % self.q
-
-    def rand_scalar(self, rng: random.Random) -> Scalar:
-        return rng.randrange(self.q)
-
 
 @dataclass(frozen=True)
 class GroupParams:

@@ -92,8 +92,6 @@ def _setup_user(args, policy: FusionPolicy):
     code = CodeParams(m=group.q.bit_length(), r=args.code_r) \
         if case is Case.CASE3 else None
     strategy = CaseStrategy(case=case, code=code)
-    params = ThresholdParams(t=args.t, n=args.n) if case is not Case.CASE1 \
-        else ThresholdParams(t=0, n=1)
     modalities = [m for m in MODALITY_ORDER if m in policy.weights]
     pd = PersonalDevice(user_id="user1", policy=policy)
     dds = [DumbDevice(index=i, modalities=[modalities[(i - 1)
@@ -104,8 +102,9 @@ def _setup_user(args, policy: FusionPolicy):
         templates = {dd.index: format(rng.getrandbits(code.codeword_length),
                                       f"0{code.codeword_length}b")
                      for dd in dds}
-    record = enroll(user_id="user1", strategy=strategy, params=params,
-                    group=group, pd=pd, dds=dds, rng=rng,
+    record = enroll(user_id="user1", strategy=strategy,
+                    params=ThresholdParams(t=args.t, n=args.n), group=group,
+                    pd=pd, dds=dds, rng=rng,
                     enrolment_templates=templates)
     sp = ServiceProvider(sp_id="sp1", rng=rng)
     sp.register_user(record)

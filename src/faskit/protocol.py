@@ -11,8 +11,9 @@ A flow runs: AuthRequest -> Challenge -> sensor collection -> score
 fusion and gating -> (only if the gate passes) the signing ceremony of
 the active case strategy -> AuthResponse -> AuthResult.
 
-Case strategies:
-  CASE1 - the whole private key sits on the PD; the PD signs alone.
+Case strategies, which differ only in where the signing key lives:
+  CASE1 - the one-of-one sharing (t=0, n=1): the PD holds the only share,
+          which is the whole private key, and signs alone.
   CASE2 - each device persistently stores one key share; any t+1 live
           devices run the two-round threshold signing.
   CASE3 - devices store nothing; the PD holds helper data per device and
@@ -435,24 +436,20 @@ class PersonalDevice(_Transcript):
         self.strategy: CaseStrategy | None = None
         self.pubkey: GroupPublicKey | None = None
         self.commitments: FeldmanCommitments | None = None
-        self._secret_key: int | None = None          # CASE1 only
-        self._own_signer: DeviceSigner | None = None  # optional PD share
+        # The PD's own share: the whole key in CASE1, optional otherwise.
+        self._own_signer: DeviceSigner | None = None
         self.helper_store: dict = {}                  # CASE3: index -> HD
         self.paillier: PheKeypair | None = None
-        self.reading_buffer: list = []
-
-    def buffer_reading(self, reading: ModalityReading) -> None:
-        self.reading_buffer.append(reading)
 
     def persistent_state(self) -> dict:
         state = {"user_id": self.user_id,
                  "score_mode": self.score_mode,
                  "helper_data": {i: hd.to_json()
                                  for i, hd in self.helper_store.items()}}
-        if self._secret_key is not None:
-            state["secret_key"] = self._secret_key
         if self._own_signer is not None:
-            state["key_share_value"] = self._own_signer._share.value
+            label = "secret_key" if self.strategy.case is Case.CASE1 \
+                else "key_share_value"
+            state[label] = self._own_signer._share.value
         return state
 
 
@@ -471,21 +468,15 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     dds = list(dds)
     pd.strategy = strategy
     pd.paillier = paillier_keypair
-
     if strategy.case is Case.CASE1:
-        pubkey, shares, commitments = keygen_dealer(
-            ThresholdParams(t=0, n=1), group, rng)
-        pd._secret_key = shares[0].value
-        pd.pubkey = pubkey
-        pd.commitments = commitments
-        return RegistrationRecord(user_id=user_id, pubkey=pubkey)
+        params = ThresholdParams(t=0, n=1)
 
     pubkey, shares, commitments = keygen_dealer(params, group, rng)
     pd.pubkey = pubkey
     pd.commitments = commitments
 
     share_targets = list(shares)
-    if strategy.pd_holds_share:
+    if strategy.pd_holds_share or strategy.case is Case.CASE1:
         pd._own_signer = DeviceSigner(share_targets[0], group)
         share_targets = share_targets[1:]
     if len(dds) < len(share_targets):
@@ -539,6 +530,7 @@ class _Flow:
         self.hook = transit_hook or (lambda m: m)
         self.challenge_fn = challenge_fn
         self.messages: list = []
+        self.readings: list = []   # the readings that parsed
 
     def send(self, msg: Message, sender_entity, receiver_entity) -> Message:
         """Route one message: the transit hook may tamper with it; both
@@ -580,7 +572,7 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
                               payload=reading.to_json())
                 parsed = _parse_reading(flow.send(msg, dd, pd).payload)
                 if parsed is not None:
-                    pd.buffer_reading(parsed)
+                    flow.readings.append(parsed)
 
         # Step 3b: fuse and gate. The local fusion over raw readings is
         # always computed; cloud modes must agree with it to be believed.
@@ -610,7 +602,8 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     finally:
         for dd in live:
             dd.end_session(session)
-        pd.reading_buffer.clear()
+        if pd._own_signer is not None:
+            pd._own_signer.abort_session(session)
 
 
 def _parse_reading(payload: dict) -> ModalityReading | None:
@@ -628,14 +621,14 @@ def _parse_reading(payload: dict) -> ModalityReading | None:
 
 def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
     pd = flow.pd
-    local = fuse_local(pd.reading_buffer, pd.policy, now)
+    local = fuse_local(flow.readings, pd.policy, now)
     if pd.score_mode == "local-bypass" or not local.contributing:
         return local
     if flow.fasp is None:
         raise ParameterError(
             f"score mode {pd.score_mode!r} needs a scoring service")
 
-    means = modality_means(pd.reading_buffer, pd.policy, now)
+    means = modality_means(flow.readings, pd.policy, now)
     if pd.score_mode == "cloud-plain":
         payload = {"user_id": pd.user_id, "mode": "plain",
                    "scores": {m.value: quantize_score(v)
@@ -653,7 +646,12 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
                       receiver=flow.fasp.fasp_id, session_id=session,
                       payload=payload)
     delivered = flow.send(request, pd, None)
-    reply = flow.fasp.handle_score_request(delivered)
+    try:
+        reply = flow.fasp.handle_score_request(delivered)
+    except PolicyError:
+        # A request mangled to name an unknown user or mode gets no
+        # answer; gate on raw readings.
+        return local
     reply = flow.send(reply, None, pd)
 
     cloud_value = _cloud_value(pd, reply, means)
@@ -700,20 +698,17 @@ def _answer_value(answer: Message, index: int, key: str, bound: int) -> int:
 def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                    live) -> Signature:
     pd = flow.pd
-    strategy = pd.strategy
     group = pd.pubkey.group
     quorum = pd.pubkey.params.t + 1
 
+    # The PD's own share joins if it has one. Devices join if they store a
+    # share (CASE2; none do in CASE1) or, in CASE3, if the share they
+    # regenerate from delivered helper data passes the commitment check.
     own = pd._own_signer
     ready = []
-    if strategy.case is Case.CASE1:
-        # The whole key: a one-signer quorum with no device messages.
-        if pd._secret_key is not None:
-            own = DeviceSigner(Share(index=1, value=pd._secret_key), group)
-    elif strategy.case is Case.CASE2:
+    if pd.strategy.case is not Case.CASE3:
         ready = [dd for dd in live if dd._persistent_signer is not None]
-    else:  # CASE3: deliver helper data; a device joins only if its
-        # regenerated share passes the commitment check.
+    else:
         for dd in live:
             helper = pd.helper_store.get(dd.index)
             if helper is None:

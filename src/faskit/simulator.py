@@ -28,20 +28,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .algebra import get_group, group_names
 from .authscore import FusionPolicy, Modality, phe_encrypt, phe_keygen
-from .errors import (ConfigError, InsufficientSharesError,
-                     InvalidPartialError, NondeterminismError)
+from .errors import ConfigError, NondeterminismError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
-                       MessageType, PersonalDevice, ServiceProvider, _denied,
-                       _Flow, _sign_ceremony, enroll, message_to_wire,
-                       pd_run_authentication, request_challenge,
-                       signing_message_bytes)
+                       MessageType, PersonalDevice, ServiceProvider, enroll,
+                       message_to_wire, pd_run_authentication,
+                       request_challenge)
 from .sharing import ThresholdParams
-from .thresholdsig import compute_challenge_scalar
 
 ADVERSARIES = ("none", "stolen_k", "tamper_partial", "replay", "eavesdrop",
                "score_inflate")
@@ -266,10 +263,9 @@ class _Trial:
             self.fasp = FaspService()
         if config.score_mode == "cloud-encrypted":
             paillier = phe_keygen(config.paillier_bits, self.rng_keys)
-        self.params = ThresholdParams(t=config.t, n=config.n) \
-            if config.case != 1 else ThresholdParams(t=0, n=1)
         record = enroll(
-            user_id="user1", strategy=strategy, params=self.params,
+            user_id="user1", strategy=strategy,
+            params=ThresholdParams(t=config.t, n=config.n),
             group=self.group, pd=self.pd, dds=self.dds, rng=self.rng_keys,
             enrolment_templates=self.enrol_templates or None,
             paillier_keypair=paillier)
@@ -326,44 +322,31 @@ def _run_replay_trial(trial: _Trial) -> tuple:
 
 
 def _run_stolen_k_trial(trial: _Trial) -> tuple:
-    """A rogue gateway drives the signing ceremony with only what a thief
-    holds: the public key, commitments and leaked helper data, plus k
-    stolen devices with their persistent state and the thief's own
-    (impostor) templates. It skips the score gate and holds no secret key
-    and no PD share, so with k <= t it can never assemble a signature.
-    Its traffic to the stolen devices stays off the recorded links."""
+    """A rogue gateway runs the public flow with only what a thief holds:
+    the public key, commitments and leaked helper data, plus k stolen
+    devices with their persistent state and the thief's own (impostor)
+    readings and templates. Its policy keeps the weights but sets theta to
+    0, so its gate opens on any score. It holds no PD share, so with
+    k <= t it can never assemble a signature. Its traffic to the stolen
+    devices stays off the recorded links: the trial records the request,
+    the challenge, the flow's last message and the SP's verdict."""
     pd = trial.pd
-    rogue = PersonalDevice(user_id=pd.user_id, policy=pd.policy)
+    rogue = PersonalDevice(user_id=pd.user_id,
+                           policy=replace(pd.policy, theta=0.0))
     rogue.entity_id = "rogue-pd"
     rogue.strategy = pd.strategy
     rogue.pubkey = pd.pubkey
     rogue.commitments = pd.commitments
     rogue.helper_store = pd.helper_store
     req, challenge = request_challenge(pd.user_id, trial.sp, now=0)
-    messages = [req, challenge]
-    session = challenge.session_id
-    sp_id = challenge.payload["sp_id"]
-    nonce = bytes.fromhex(challenge.payload["nonce"])
-
-    flow = _Flow(rogue, trial.dds[:trial.config.adversary_k], None,
-                 trial.rng_nonce, None, compute_challenge_scalar)
-    try:
-        sig = _sign_ceremony(flow, session,
-                             signing_message_bytes(sp_id, nonce), flow.dds)
-    except InsufficientSharesError:
-        result = _denied(rogue, session, "insufficient-devices")
-    except InvalidPartialError:
-        result = _denied(rogue, session, "invalid-partial")
-    else:
-        response = Message(type=MessageType.AUTH_RESPONSE,
-                           sender=rogue.entity_id, receiver=sp_id,
-                           session_id=session,
-                           payload={"user_id": rogue.user_id,
-                                    "nonce": nonce.hex(),
-                                    "signature": sig.to_json()})
-        messages.append(response)
-        result = trial.sp.verify(response, now=0)
-    messages.append(result)
+    last = pd_run_authentication(
+        rogue, trial.dds[:trial.config.adversary_k], challenge, now=0,
+        rng=trial.rng_nonce)[-1]
+    messages = [req, challenge, last]
+    result = last
+    if last.type is MessageType.AUTH_RESPONSE:
+        result = trial.sp.verify(last, now=0)
+        messages.append(result)
     return messages, result
 
 

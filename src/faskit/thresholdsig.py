@@ -12,8 +12,9 @@ never learns which devices signed.
 
 The signer model is honest-but-curious: there are no binding factors
 against adversarially coordinated concurrent sessions, so a device must
-never run two sessions with the same session id (DeviceSigner enforces
-this and erases each nonce when it is consumed).
+never run two sessions with the same session id. DeviceSigner enforces
+this over its last _SESSION_WINDOW session ids and erases each nonce when
+it is consumed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .sharing import Share, ThresholdParams, share_secret
 
 # A key share is exactly a Shamir share of the private key.
 KeyShare = Share
+
+# How many recent session ids a DeviceSigner remembers and refuses.
+_SESSION_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -174,16 +178,18 @@ def verify(pubkey: GroupPublicKey, message: bytes, sig: Signature,
 class DeviceSigner:
     """Per-device signing state: one key share plus transient nonces.
 
-    Single-owner by contract. Session ids are single-use: round1 refuses a
-    session this device has seen before, and round2 consumes (erases) the
-    nonce, so no interface exposes it afterwards.
+    Single-owner by contract. Session ids are single-use within the
+    window of the last _SESSION_WINDOW ids this signer saw: round1 refuses
+    any of them, and round2 consumes (erases) the nonce, so no interface
+    exposes it afterwards. Older ids are forgotten, oldest first, so a
+    long-lived signer keeps bounded memory.
     """
 
     def __init__(self, key_share: KeyShare, group: GroupParams):
         self._share = key_share
         self._group = group
         self._nonces: dict = {}
-        self._used_sessions: set = set()
+        self._used_sessions: dict = {}   # insertion-ordered, oldest first
 
     @property
     def index(self) -> int:
@@ -193,7 +199,9 @@ class DeviceSigner:
         if session_id in self._used_sessions:
             raise SessionError(
                 f"device {self.index} already used session {session_id!r}")
-        self._used_sessions.add(session_id)
+        self._used_sessions[session_id] = None
+        if len(self._used_sessions) > _SESSION_WINDOW:
+            del self._used_sessions[next(iter(self._used_sessions))]
         k, commitment = sign_round1(self._share, self._group, session_id, rng)
         self._nonces[session_id] = k
         return commitment

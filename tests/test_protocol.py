@@ -126,10 +126,14 @@ def test_enroll_case3_leaves_no_key_bits_on_devices(sim_group):
 
 def test_enroll_case1_single_keypair(sim_group):
     pd, dds, sp, _, rng, record = make_user(Case.CASE1, 0, 1, sim_group)
-    assert pd.persistent_state()["secret_key"] is not None
+    key = pd.persistent_state()["secret_key"]
+    assert key is not None
     assert record.pubkey.params.n == 1
-    _, result = authenticate(pd, dds, sp, rng)
-    assert result.payload == {"granted": True, "reason": "ok"}
+    # The gateway's signer lives across sessions.
+    for _ in range(3):
+        _, result = authenticate(pd, dds, sp, rng)
+        assert result.payload == {"granted": True, "reason": "ok"}
+        assert pd.persistent_state()["secret_key"] == key
 
 
 def test_enroll_requires_enough_devices(sim_group):
@@ -490,6 +494,17 @@ def test_malformed_signing_answer_is_an_invalid_partial(sim_group, case,
     assert all(m.type is not MessageType.AUTH_RESPONSE for m in messages)
 
 
+def test_failed_ceremony_leaves_no_nonce_on_the_gateway(sim_group):
+    # The PD's own share signs first; dd2's bad round-1 answer then ends
+    # the ceremony before the PD's round 2.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                       pd_holds_share=True)
+    _, result = authenticate(pd, dds, sp, rng, transit_hook=replace_first(
+        MessageType.SIGN_ROUND1, set_field("R", "zz")))
+    assert result.payload["reason"] == "invalid-partial"
+    assert pd._own_signer._nonces == {}
+
+
 def garble_ciphertexts(payload):
     payload["ciphertexts"] = {k: "zz" for k in payload["ciphertexts"]}
     return payload
@@ -508,6 +523,15 @@ TRANSIT_MUTATIONS = {
     "score-request-not-hex": (Case.CASE2, "cloud-encrypted",
                               MessageType.SCORE_REQUEST, True,
                               garble_ciphertexts, ["dd1", "dd2"]),
+    # The service refuses the request; the PD gates on local fusion.
+    "score-request-unknown-mode": (Case.CASE2, "cloud-encrypted",
+                                   MessageType.SCORE_REQUEST, True,
+                                   set_field("mode", "psychic"),
+                                   ["dd1", "dd2"]),
+    "score-request-unknown-user": (Case.CASE2, "cloud-encrypted",
+                                   MessageType.SCORE_REQUEST, True,
+                                   set_field("user_id", "ghost"),
+                                   ["dd1", "dd2"]),
     # The PD drops dd1's reading and gates on the other two.
     "sensor-score-out-of-range": (Case.CASE3, "local-bypass",
                                   MessageType.SENSOR_READING, False,

@@ -10,6 +10,7 @@ from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import (DeviceSigner, KeyShare, Signature, combine,
                                  compute_challenge_scalar, keygen_dealer,
                                  sign_round1, sign_round2, verify)
+from faskit.thresholdsig import _SESSION_WINDOW
 
 from conftest import ScriptedRng, stub_challenge
 
@@ -245,3 +246,17 @@ def test_device_signer_session_lifecycle(sim_group):
     signer.round1("sess-2", rng)
     signer.abort_session("sess-2")
     assert not signer.has_nonce("sess-2")
+
+
+def test_device_signer_forgets_sessions_past_the_window(sim_group):
+    rng = random.Random(19)
+    _, shares, _ = keygen_dealer(ThresholdParams(t=1, n=3), sim_group, rng)
+    signer = DeviceSigner(shares[0], sim_group)
+    for i in range(1100):
+        signer.round1(f"sess-{i}", rng)
+        signer.abort_session(f"sess-{i}")
+    assert _SESSION_WINDOW == 1024
+    assert len(signer._used_sessions) <= _SESSION_WINDOW
+    with pytest.raises(SessionError):
+        signer.round1("sess-1099", rng)   # the newest id is still refused
+    signer.round1("sess-0", rng)          # the oldest was forgotten first
