@@ -169,7 +169,13 @@ class PheKeypair:
     """The private key, held by the gateway: the primes of n and the
     constants that let it compute mod p^2 and q^2 instead of mod n^2
     (Paillier, EUROCRYPT 1999, section 7). Build it with
-    keypair_from_primes."""
+    keypair_from_primes.
+
+    rho^n mod p^2 uses the Teichmuller lift: x^p mod p^2 depends only on
+    x mod p, since (x + kp)^p = x^p mod p^2 by the binomial theorem. So
+    rho^n = (rho^q)^p = pow(pow(rho, n mod (p-1), p), p, p^2), reducing
+    the inner exponent by Fermat (n = pq = q mod (p-1)); likewise mod
+    q^2."""
 
     public: PhePublicKey
     p: int
@@ -178,8 +184,8 @@ class PheKeypair:
     q_sq: int
     h_p: int            # (-q)^-1 mod p, i.e. L_p(g^(p-1) mod p^2)^-1
     h_q: int            # (-p)^-1 mod q
-    n_mod_p: int        # n mod p(p-1), the order of the units mod p^2
-    n_mod_q: int        # n mod q(q-1)
+    n_mod_p: int        # n mod (p-1), the lift's inner exponent
+    n_mod_q: int        # n mod (q-1)
     q_inv: int          # q^-1 mod p, recombines mod n
     q_sq_inv: int       # q^-2 mod p^2, recombines mod n^2
 
@@ -222,7 +228,7 @@ def keypair_from_primes(p: int, q: int) -> PheKeypair:
     return PheKeypair(public=PhePublicKey(n=n, g=n + 1), p=p, q=q,
                       p_sq=p_sq, q_sq=q_sq,
                       h_p=mod_inv(-q, p), h_q=mod_inv(-p, q),
-                      n_mod_p=n % (p * (p - 1)), n_mod_q=n % (q * (q - 1)),
+                      n_mod_p=n % (p - 1), n_mod_q=n % (q - 1),
                       q_inv=mod_inv(q, p), q_sq_inv=mod_inv(q_sq, p_sq))
 
 
@@ -238,8 +244,9 @@ def phe_encrypt(m: int, key: PhePublicKey | PheKeypair, rng: random.Random,
 
     `key` is the public key, or the keypair at the key holder. The
     keypair gives the same ciphertext faster: g^m = 1 + m*n mod n^2, and
-    rho^n comes from two half-size exponentiations mod p^2 and q^2
-    joined by CRT. rho is drawn by the same rng calls either way.
+    rho^n mod p^2 is the lift (rho^(n mod (p-1)) mod p)^p, since x^p mod
+    p^2 depends only on x mod p; likewise mod q^2, joined by CRT. rho is
+    drawn by the same rng calls either way.
     Passing rho explicitly is a test hook for known-answer checks.
     """
     public = key.public if isinstance(key, PheKeypair) else key
@@ -254,8 +261,8 @@ def phe_encrypt(m: int, key: PhePublicKey | PheKeypair, rng: random.Random,
     n_sq = public.n_sq
     if public is key:  # no private key: the textbook formula
         return pow(public.g, m, n_sq) * pow(rho, public.n, n_sq) % n_sq
-    rho_n = _crt(pow(rho, key.n_mod_p, key.p_sq),
-                 pow(rho, key.n_mod_q, key.q_sq),
+    rho_n = _crt(pow(pow(rho, key.n_mod_p, key.p), key.p, key.p_sq),
+                 pow(pow(rho, key.n_mod_q, key.q), key.q, key.q_sq),
                  key.p_sq, key.q_sq, key.q_sq_inv)
     return (1 + m * public.n) * rho_n % n_sq
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import secrets
 import sys
 
 from . import simulator
@@ -30,6 +31,8 @@ from .simulator import ScenarioConfig, run_scenario
 from .thresholdsig import (combine, keygen_dealer, sign_round1,
                            sign_round2, verify)
 
+_SEED_HELP = "reproducible demos only; without it keys come from the " \
+    "OS CSPRNG"
 MODALITY_ORDER = [Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT,
                   Modality.CUSTOM]
 
@@ -47,6 +50,12 @@ class _ScriptedRng:
         return self._values.pop(0)
 
 
+def _rng(seed: int | None) -> random.Random:
+    """random.Random(seed) for a reproducible demo; without a seed, keys
+    and nonces come from the OS CSPRNG."""
+    return secrets.SystemRandom() if seed is None else random.Random(seed)
+
+
 def _emit(obj: dict, summary: str, output: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     sys.stdout.write(text + "\n")
@@ -62,7 +71,7 @@ def _cmd_keygen(args) -> int:
     summary = f"group {args.group}: |p|={group.p.bit_length()} bits"
     if args.n is not None:
         params = ThresholdParams(t=args.t, n=args.n)
-        rng = random.Random(args.seed)
+        rng = _rng(args.seed)
         pubkey, shares, commitments = keygen_dealer(params, group, rng)
         out.update({
             "t": params.t, "n": params.n,
@@ -87,7 +96,7 @@ def _build_policy(weights, theta) -> FusionPolicy:
 def _setup_user(args, policy: FusionPolicy):
     """Enrol a fresh user per the CLI flags; returns the live entities."""
     group = get_group(args.group)
-    rng = random.Random(args.seed)
+    rng = _rng(args.seed)
     case = Case(args.case)
     code = CodeParams(m=group.q.bit_length(), r=args.code_r) \
         if case is Case.CASE3 else None
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="sim", choices=group_names())
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     common(p)
     p.set_defaults(func=_cmd_keygen)
 
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--group", default="sim", choices=group_names())
         p.add_argument("--code-r", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
         p.add_argument("--theta", type=float, default=0.7)
         p.add_argument("--weights", type=_parse_floats,
                        default=[0.5, 0.3, 0.2],

@@ -261,7 +261,7 @@ class FaspService(_Transcript):
         self.fasp_id = fasp_id
         self._policies: dict = {}
         self._paillier_pubs: dict = {}
-        self._plain_scores_seen: list = []
+        self._plain_scores_seen: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
     def register_policy(self, user_id: str, policy: FusionPolicy,
                         paillier_pub=None) -> None:
@@ -282,8 +282,9 @@ class FaspService(_Transcript):
         if mode == "plain":
             scores = _request_values(msg.payload, "scores", int)
             if scores is not None:
-                # A plain-mode service retains what it was sent; the
-                # privacy inspection in the simulator points at this.
+                # A plain-mode service retains the last scores it was
+                # sent; the privacy inspection in the simulator points
+                # at this.
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
                 weights = {m: w for m, w in policy.weights.items()
@@ -313,7 +314,8 @@ class FaspService(_Transcript):
         return reply
 
     def state_snapshot(self) -> dict:
-        """Inspection hook: every plaintext score this service retains."""
+        """Inspection hook: the plaintext scores this service retains,
+        the last _TRANSCRIPT_WINDOW of them, oldest first."""
         return {"plaintext_scores": list(self._plain_scores_seen)}
 
 

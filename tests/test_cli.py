@@ -45,6 +45,19 @@ def test_keygen_outputs_group_and_sharing(capsys):
     assert len(obj["commitments"]) == 2
 
 
+def test_keygen_draws_from_csprng_unless_seeded(capsys):
+    def deal(*extra):
+        code, out, _ = run_cli(capsys, ["keygen", "--t", "1", "--n", "3",
+                                        *extra])
+        assert code == 0
+        return out
+
+    first, second = parse(deal()), parse(deal())
+    assert first["shares"] != second["shares"]
+    assert first["public_key"] != second["public_key"]
+    assert deal("--seed", "9") == deal("--seed", "9")
+
+
 def test_enroll_dumps_states(capsys):
     code, out, _ = run_cli(capsys, ["enroll", "--case", "3", "--t", "1",
                                     "--n", "3"])

@@ -35,6 +35,31 @@ def test_crt_decryption_matches_oracle_on_every_unit_mod_225():
         assert phe_decrypt(c, kp) == textbook_decrypt(c, kp), c
 
 
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 7)])
+def test_key_holder_encryption_matches_textbook_on_every_unit(p, q):
+    # p = 3 makes the inner exponent n mod (p-1) equal to 1. m only
+    # enters through 1 + m*n, so its two ends suffice.
+    kp = keypair_from_primes(p, q)
+    n, n_sq = kp.public.n, kp.public.n_sq
+    units = [rho for rho in range(1, n) if math.gcd(rho, n) == 1]
+    assert len(units) == (p - 1) * (q - 1)
+    for rho in units:
+        for m in (0, n - 1):
+            expected = (1 + m * n) * pow(rho, n, n_sq) % n_sq
+            assert phe_encrypt(m, kp, None, rho=rho) == expected, (m, rho)
+            assert phe_encrypt(m, kp.public, None, rho=rho) == expected
+
+
+def test_key_holder_encryption_matches_textbook_at_1024_bits():
+    kp = phe_keygen(1024, random.Random(6))
+    n, n_sq = kp.public.n, kp.public.n_sq
+    assert n.bit_length() == 1024
+    for rho in (2, 3, n - 1, n // 3, random.Random(1).randrange(1, n)):
+        assert math.gcd(rho, n) == 1
+        assert phe_encrypt(42, kp, None, rho=rho) == \
+            (1 + 42 * n) * pow(rho, n, n_sq) % n_sq
+
+
 def test_keypair_rejects_primes_sharing_a_factor_with_the_group_order():
     # n = 21, (p-1)(q-1) = 12: mu would not exist.
     with pytest.raises(NonInvertibleError):

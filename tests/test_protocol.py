@@ -621,6 +621,19 @@ def test_entity_transcripts_keep_the_last_window(sim_group):
     assert sp.transcript[-1] is result
 
 
+def test_plain_scoring_service_keeps_the_last_window(sim_group):
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-plain")
+    for now in range(300):
+        for dd in dds:
+            dd.current_scores = {dd.modalities[0]: 0.9 + now % 10 / 100}
+        _, result = authenticate(pd, dds, sp, rng, fasp=fasp, now=now)
+    assert result.payload["granted"] is True
+    seen = fasp.state_snapshot()["plaintext_scores"]
+    assert len(seen) <= _TRANSCRIPT_WINDOW
+    assert seen[-3:] == [("gait", 99), ("heartbeat", 99), ("location", 99)]
+
+
 def test_devices_talk_only_to_the_gateway(sim_group):
     # DDs have no direct link to the SP or the scoring service; every
     # message touching a dd has the PD on the other end.
