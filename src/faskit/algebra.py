@@ -77,6 +77,54 @@ def mod_inv(a: int, m: int) -> int:
     return s0 % m
 
 
+class FixedBaseComb(dict):
+    """base^e mod p on a Lim-Lee fixed-base comb (CRYPTO 1994) with 8
+    teeth a = ceil(bitlen(q)/8) bits apart: a squarings and at most a table
+    multiplications for any e < 2^(8a).
+
+    The comb is its table: entry u, a pattern of bits j*a (j = 0..7), is
+    the product of base^(2^(j*a)) over the bits set in u. A missing entry
+    is made from two smaller ones, at the cost of one multiplication (a
+    squarings for a single tooth). By default all 256 are made at once;
+    with on_demand=True each is made the first time an exponent needs it,
+    which makes the time of a call show which tooth patterns its exponent
+    holds, so use it only for public exponents.
+    """
+
+    def __init__(self, base: int, p: int, q: int, on_demand: bool = False):
+        super().__init__({0: 1, 1: base % p})
+        self.base = base
+        self.p = p
+        self.a = -(-q.bit_length() // 8)
+        self.teeth = sum(1 << j * self.a for j in range(8))
+        if not on_demand:   # looking an entry up makes it
+            for u in range(256):
+                self[sum(1 << j * self.a for j in range(8) if u >> j & 1)]
+
+    def __missing__(self, u: int) -> int:
+        top = 1 << u.bit_length() - 1
+        if u == top:    # tooth j: tooth j - 1 squared a times
+            value = pow(self[top >> self.a], 1 << self.a, self.p)
+        else:
+            value = self[u ^ top] * self[top] % self.p
+        self[u] = value
+        return value
+
+    def power(self, e: int) -> int:
+        """base^e mod p, equal to pow(base, e, p) for every int e; one
+        outside [0, 2^(8a)) goes to builtin pow."""
+        a, teeth, p = self.a, self.teeth, self.p
+        if e >> 8 * a:
+            return pow(self.base, e, p)
+        x = 1
+        for i in range(a - 1, -1, -1):
+            x = x * x % p
+            column = e >> i & teeth
+            if column:
+                x = x * self[column] % p
+        return x
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The scalar field Z_q for a prime q >= 3."""
@@ -95,8 +143,8 @@ class GroupParams:
     """A Schnorr group: the order-q subgroup of Z_p* generated by g.
 
     Exponent arithmetic lives in PrimeField(q); q divides p - 1. Every
-    g^x goes through power(), whose comb table each instance builds once,
-    on first use.
+    g^x goes through power(), on a FixedBaseComb for g that each instance
+    builds whole, once, on first use.
     """
 
     p: int
@@ -130,36 +178,14 @@ class GroupParams:
         return 0 < x < self.p and pow(x, self.q, self.p) == 1
 
     @cached_property
-    def _comb(self):
-        """The fixed-base comb for g (Lim and Lee, CRYPTO 1994) with 8
-        teeth a = ceil(bitlen(q)/8) bits apart.
-
-        Returns (a, teeth, table): teeth has bit j*a set for j = 0..7, and
-        table maps each pattern u of those bits to the product of
-        g^(2^(j*a)) over the bits j*a set in u, 256 entries.
-        """
-        a = -(-self.q.bit_length() // 8)
-        table = {0: 1}
-        tooth = self.g
-        for j in range(8):
-            table.update({u | 1 << j * a: v * tooth % self.p
-                          for u, v in table.items()})
-            tooth = pow(tooth, 1 << a, self.p)
-        return a, sum(1 << j * a for j in range(8)), table
+    def _comb(self) -> FixedBaseComb:
+        # Filled whole: its exponents (nonces, shares, the dealer's
+        # secret) are secret.
+        return FixedBaseComb(self.g, self.p, self.q)
 
     def power(self, exponent: int) -> GroupElement:
-        """g^exponent mod p, the exponent taken mod q: a squarings and at
-        most a table multiplications on the comb."""
-        a, teeth, table = self._comb
-        e = exponent % self.q
-        p = self.p
-        x = 1
-        for i in range(a - 1, -1, -1):
-            x = x * x % p
-            column = e >> i & teeth
-            if column:
-                x = x * table[column] % p
-        return x
+        """g^exponent mod p, the exponent taken mod q."""
+        return self._comb.power(exponent % self.q)
 
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")

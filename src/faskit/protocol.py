@@ -38,10 +38,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import GroupParams
-from .authscore import (AuthScore, FusionPolicy, Modality, ModalityReading,
-                        PheKeypair, fuse_encrypted, fuse_local, gate,
-                        modality_means, normalize_fused, phe_decrypt,
-                        phe_encrypt, quantize_score)
+from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
+                        ModalityReading, PheKeypair, fuse_encrypted,
+                        fuse_local, gate, modality_means, normalize_fused,
+                        phe_decrypt, phe_encrypt, quantize_score)
 from .errors import (CorruptedShareError, InsufficientSharesError,
                      InvalidPartialError, ParameterError, PolicyError,
                      RegistrationError, SessionError)
@@ -205,7 +205,8 @@ class ServiceProvider(_Transcript):
         self.record(response)
         payload = response.payload
         nonce_hex = payload.get("nonce", "")
-        entry = self._nonces.get(nonce_hex)
+        entry = self._nonces.get(nonce_hex) if isinstance(nonce_hex, str) \
+            else None
         if entry is None:
             return self._result(response, False, "nonce-unknown")
         if entry["used"]:
@@ -272,15 +273,17 @@ class FaspService(_Transcript):
     def handle_score_request(self, msg: Message) -> Message:
         self.record(msg)
         user_id = msg.payload.get("user_id", "")
-        policy = self._policies.get(user_id)
+        policy = self._policies.get(user_id) if isinstance(user_id, str) \
+            else None
         if policy is None:
             raise PolicyError(f"no fusion policy for user {user_id!r}")
         mode = msg.payload.get("mode")
-        # A request whose scores or ciphertexts do not parse gets a reply
-        # with no value, which the PD treats as disagreement.
+        # A request whose scores or ciphertexts do not parse, or whose
+        # scores lie outside [0, SCORE_SCALE], gets a reply with no value,
+        # which the PD treats as disagreement.
         payload = {"user_id": user_id, "mode": mode}
         if mode == "plain":
-            scores = _request_values(msg.payload, "scores", int)
+            scores = _request_values(msg.payload, "scores", _plain_score)
             if scores is not None:
                 # A plain-mode service retains the last scores it was
                 # sent; the privacy inspection in the simulator points
@@ -317,6 +320,14 @@ class FaspService(_Transcript):
         """Inspection hook: the plaintext scores this service retains,
         the last _TRANSCRIPT_WINDOW of them, oldest first."""
         return {"plaintext_scores": list(self._plain_scores_seen)}
+
+
+def _plain_score(value) -> int:
+    """A quantized score, which lies in [0, SCORE_SCALE]."""
+    score = int(value)
+    if not 0 <= score <= SCORE_SCALE:
+        raise ValueError(f"score {score} outside [0, {SCORE_SCALE}]")
+    return score
 
 
 def _request_values(payload: dict, key: str, parse) -> dict | None:
@@ -727,7 +738,8 @@ def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
                     HelperData.from_json(payload["helper"]),
                     FeldmanCommitments.from_json(payload["commitments"]),
                     group, session)
-            except (KeyError, TypeError, ValueError, ParameterError):
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    ParameterError):
                 # A payload that does not parse, or a helper that does not
                 # fit the device's template: the device sits out.
                 ok = False

@@ -22,9 +22,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import (GroupElement, GroupParams, PrimeField, Scalar,
-                      lagrange_coefficient)
+from .algebra import (FixedBaseComb, GroupElement, GroupParams, PrimeField,
+                      Scalar, lagrange_coefficient)
 from .errors import (InsufficientSharesError, InvalidPartialError,
                      ParameterError, SessionError)
 from .sharing import Share, ThresholdParams, share_secret
@@ -38,11 +39,21 @@ _SESSION_WINDOW = 1024
 
 @dataclass(frozen=True)
 class GroupPublicKey:
-    """The single public key y = g^x the combined signature verifies under."""
+    """The single public key y = g^x the combined signature verifies under.
+
+    verify computes y^c on a comb for y that the key builds on first use
+    and fills on demand: c is public, so the order in which its entries
+    are made reveals nothing secret.
+    """
 
     y: GroupElement
     group: GroupParams
     params: ThresholdParams
+
+    @cached_property
+    def _comb(self) -> FixedBaseComb:
+        return FixedBaseComb(self.y, self.group.p, self.group.q,
+                             on_demand=True)
 
 
 @dataclass(frozen=True)
@@ -171,7 +182,7 @@ def verify(pubkey: GroupPublicKey, message: bytes, sig: Signature,
         return False
     c = challenge_fn(sig.R, pubkey.y, message, group)
     lhs = group.power(sig.s)
-    rhs = sig.R * pow(pubkey.y, c, group.p) % group.p
+    rhs = sig.R * pubkey._comb.power(c) % group.p
     return lhs == rhs
 
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faskit.algebra import (GroupParams, PrimeField, get_group, group_names,
-                            is_probable_prime, lagrange_coefficient, mod_inv)
+from faskit.algebra import (FixedBaseComb, GroupParams, PrimeField, get_group,
+                            group_names, is_probable_prime,
+                            lagrange_coefficient, mod_inv)
 from faskit.errors import NonInvertibleError, ParameterError
 
 
@@ -138,16 +139,32 @@ def test_element_membership_and_encoding(kat_group):
 
 @pytest.mark.parametrize("name", ["kat", "sim", "prod2048"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(multiple=st.integers(-3, 3), offset=st.integers(-2 ** 300, 2 ** 300))
+@given(multiple=st.integers(-3, 3), offset=st.integers(-2 ** 300, 2 ** 300),
+       base=st.integers(0, 2 ** 2048), on_demand=st.booleans())
 # The exponent is multiple * q + offset, so these are 0, 1, q - 1, q, -1
-# and 2q + 5 in every group.
-@example(multiple=0, offset=0)
-@example(multiple=0, offset=1)
-@example(multiple=1, offset=-1)
-@example(multiple=1, offset=0)
-@example(multiple=0, offset=-1)
-@example(multiple=2, offset=5)
-def test_power_matches_builtin_pow(name, multiple, offset):
+# and 2q + 5 in every group; base 0 stands for 1 and base 2^2048 for p - 1,
+# which lies outside the order-q subgroup.
+@example(multiple=0, offset=0, base=0, on_demand=False)
+@example(multiple=0, offset=1, base=0, on_demand=True)
+@example(multiple=1, offset=-1, base=0, on_demand=False)
+@example(multiple=1, offset=-1, base=2 ** 2048, on_demand=True)
+@example(multiple=1, offset=0, base=2 ** 2048, on_demand=False)
+@example(multiple=0, offset=-1, base=5, on_demand=True)
+@example(multiple=2, offset=5, base=5, on_demand=False)
+def test_power_matches_builtin_pow(name, multiple, offset, base, on_demand):
     group = get_group(name)
+    p, q = group.p, group.q
     exponent = multiple * group.q + offset
-    assert group.power(exponent) == pow(group.g, exponent % group.q, group.p)
+    assert group.power(exponent) == pow(group.g, exponent % q, p)
+    # Any base in [1, p), any exponent in [0, q), on a cold table and
+    # then on the warm one.
+    base = 1 + base % (p - 1)
+    e = exponent % q
+    comb = FixedBaseComb(base, p, q, on_demand=on_demand)
+    assert comb.power(e) == pow(base, e, p)
+    assert comb.power(q - 1 - e) == pow(base, q - 1 - e, p)
+    assert comb.power(e) == pow(base, e, p)
+    # Exponents past the comb's 8a bits, or negative, are not truncated.
+    wide = (1 << 8 * comb.a) + e
+    assert comb.power(wide) == pow(base, wide, p)
+    assert comb.power(-1 - e) == pow(base, -1 - e, p)

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faskit.algebra import PrimeField
 from faskit.errors import CorruptedShareError, ParameterError
@@ -157,3 +159,50 @@ def test_helper_data_hex_serialization():
         hex_to_bits("31", 6)     # nonzero padding bits
     with pytest.raises(ParameterError):
         hex_to_bits("3", 6)      # too short
+
+
+# The per-character bit-string code the int-based one replaced, kept as
+# the oracle.
+def xor_bits_by_char(a, b):
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def bits_to_hex_by_char(bits):
+    padded = bits + "0" * (-len(bits) % 4)
+    return "".join(format(int(padded[i:i + 4], 2), "x")
+                   for i in range(0, len(padded), 4))
+
+
+def hex_to_bits_by_char(hexstr, length):
+    bits = "".join(format(int(ch, 16), "04b") for ch in hexstr)
+    if len(bits) < length or "1" in bits[length:]:
+        return None
+    return bits[:length]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bits=st.text("01", max_size=70), other=st.randoms(),
+       hexstr=st.text("0123456789abcdefABCDEF", max_size=20),
+       length=st.integers(0, 84))
+def test_bit_strings_match_the_per_character_code(bits, other, hexstr,
+                                                   length):
+    flipped = "".join(other.choice("01") for _ in bits)
+    assert xor_bits(bits, flipped) == xor_bits_by_char(bits, flipped)
+    assert bits_to_hex(bits) == bits_to_hex_by_char(bits)
+    assert hex_to_bits(bits_to_hex(bits), len(bits)) == bits
+    expected = hex_to_bits_by_char(hexstr, length)
+    if expected is None:
+        with pytest.raises(ParameterError):
+            hex_to_bits(hexstr, length)
+    else:
+        assert hex_to_bits(hexstr, length) == expected
+
+
+@pytest.mark.parametrize("hexstr", [
+    "0x30", "+30", "-30", "3_0", " 30", "30 ", "3 0", "30\n", "\u0663\u0660",
+    "3g", ["3", "0"], b"30", 48, None])
+def test_hex_to_bits_accepts_only_hex_digits(hexstr):
+    # int(x, 16) takes a 0x prefix, a sign, underscores, surrounding
+    # whitespace and non-ASCII digits; a helper string must be plain hex.
+    with pytest.raises(ParameterError):
+        hex_to_bits(hexstr, 6)

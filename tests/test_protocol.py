@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faskit.algebra import get_group
 from faskit.authscore import FusionPolicy, Modality, phe_keygen
@@ -15,6 +18,7 @@ from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
 from faskit.protocol import _TRANSCRIPT_WINDOW
 from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import Signature
+from faskit.thresholdsig import verify as verify_signature
 
 from conftest import ScriptedRng
 
@@ -515,6 +519,16 @@ def truncate_helper(payload):
     return payload
 
 
+def overflow_scores(payload):
+    payload["scores"] = {k: 10 ** 400 for k in payload["scores"]}
+    return payload
+
+
+def infinite_helper_m(payload):
+    payload["helper"] = dict(payload["helper"], m=float("inf"))
+    return payload
+
+
 # (case, score mode, message type, sent by the PD, mutation, signers).
 # Each mutation hits the first message of its type; for a sensor reading
 # or a helper delivery, that is dd1's.
@@ -532,6 +546,14 @@ TRANSIT_MUTATIONS = {
                                    MessageType.SCORE_REQUEST, True,
                                    set_field("user_id", "ghost"),
                                    ["dd1", "dd2"]),
+    "score-request-user-not-a-str": (Case.CASE2, "cloud-encrypted",
+                                     MessageType.SCORE_REQUEST, True,
+                                     set_field("user_id", ["user1"]),
+                                     ["dd1", "dd2"]),
+    # The service answers with no value; the PD gates on local fusion.
+    "score-request-score-overflows": (Case.CASE2, "cloud-plain",
+                                      MessageType.SCORE_REQUEST, True,
+                                      overflow_scores, ["dd1", "dd2"]),
     # The PD drops dd1's reading and gates on the other two.
     "sensor-score-out-of-range": (Case.CASE3, "local-bypass",
                                   MessageType.SENSOR_READING, False,
@@ -540,6 +562,9 @@ TRANSIT_MUTATIONS = {
     "helper-truncated": (Case.CASE3, "local-bypass",
                          MessageType.HELPER_DELIVERY, True,
                          truncate_helper, ["dd2", "dd3"]),
+    "helper-m-infinite": (Case.CASE3, "local-bypass",
+                          MessageType.HELPER_DELIVERY, True,
+                          infinite_helper_m, ["dd2", "dd3"]),
 }
 
 
@@ -556,6 +581,92 @@ def test_mangled_message_ends_in_a_decision(sim_group, mutation):
     assert [m.receiver for m in messages
             if m.type is MessageType.SIGN_ROUND1 and m.sender == "pd"] \
         == signers
+
+
+@pytest.mark.parametrize("nonce", [["00"], {"nonce": "00"}, None, 7])
+def test_response_with_a_mangled_nonce_is_unknown(sim_group, nonce):
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+    _, result = authenticate(pd, dds, sp, rng, transit_hook=replace_first(
+        MessageType.AUTH_RESPONSE, set_field("nonce", nonce), by_pd=True))
+    assert result.payload == {"granted": False, "reason": "nonce-unknown"}
+
+
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 10 ** 400, -(10 ** 400), -1,
+                     float("nan"), float("inf"), float("-inf"), "", "zz",
+                     "0x1f", "-1", " 1", [], ["1"], {}, {"1": "1"}]),
+    st.integers(), st.text(max_size=3))
+
+
+@functools.lru_cache(maxsize=None)
+def transit_types(case, score_mode):
+    """The types of the messages that pass the transit hook, in order, in
+    an untouched flow."""
+    pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, SIM,
+                                          score_mode=score_mode)
+    seen = []
+    authenticate(pd, dds, sp, rng, fasp=fasp,
+                 transit_hook=lambda m: seen.append(m.type) or m)
+    return tuple(seen)
+
+
+@pytest.mark.parametrize("case", [Case.CASE2, Case.CASE3])
+@pytest.mark.parametrize("score_mode", ["local-bypass", "cloud-plain",
+                                        "cloud-encrypted"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
+                                                     data):
+    # One payload field of one message, at the top level or one level
+    # down, becomes a hostile value. The flow ends in a denial with a
+    # reason, or in a grant whose signature verifies under the key the SP
+    # registered.
+    pd, dds, sp, fasp, rng, record = make_user(case, 1, 3, SIM,
+                                               score_mode=score_mode)
+    # Each message type is as likely as any other, however many of its
+    # messages a flow sends.
+    types = transit_types(case, score_mode)
+    kind = data.draw(st.sampled_from(sorted(set(types), key=types.index)),
+                     label="message type")
+    target = data.draw(st.sampled_from(
+        [i for i, t in enumerate(types) if t is kind]), label="message")
+    seen = []
+
+    def hook(msg):
+        seen.append(msg)
+        if len(seen) - 1 != target:
+            return msg
+        paths = [(key,) for key in msg.payload]
+        for key, inner in msg.payload.items():
+            if isinstance(inner, dict):
+                paths += [(key, sub) for sub in inner]
+            elif isinstance(inner, list):
+                paths += [(key, i) for i in range(len(inner))]
+        path = data.draw(st.sampled_from(paths),
+                         label=f"{msg.type.value} field")
+        value = data.draw(HOSTILE_VALUES, label="value")
+        payload = dict(msg.payload)
+        if len(path) == 1:
+            payload[path[0]] = value
+        else:
+            payload[path[0]] = payload[path[0]].copy()
+            payload[path[0]][path[1]] = value
+        return Message(type=msg.type, sender=msg.sender,
+                       receiver=msg.receiver, session_id=msg.session_id,
+                       payload=payload)
+
+    messages, result = authenticate(pd, dds, sp, rng, fasp=fasp,
+                                    transit_hook=hook)
+    assert result.type is MessageType.AUTH_RESULT
+    if not result.payload["granted"]:
+        assert isinstance(result.payload["reason"], str)
+        assert result.payload["reason"] not in ("", "ok")
+        return
+    response = messages[-2]
+    signed = signing_message_bytes(
+        sp.sp_id, bytes.fromhex(response.payload["nonce"]))
+    assert verify_signature(record.pubkey, signed, Signature.from_json(
+        response.payload["signature"]))
 
 
 def test_service_provider_forgets_nonces_past_the_ttl(sim_group):

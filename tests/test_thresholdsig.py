@@ -7,7 +7,8 @@ import pytest
 from faskit.errors import (InsufficientSharesError, InvalidPartialError,
                            ParameterError, SessionError)
 from faskit.sharing import ThresholdParams
-from faskit.thresholdsig import (DeviceSigner, KeyShare, Signature, combine,
+from faskit.thresholdsig import (DeviceSigner, GroupPublicKey, KeyShare,
+                                 Signature, combine,
                                  compute_challenge_scalar, keygen_dealer,
                                  sign_round1, sign_round2, verify)
 from faskit.thresholdsig import _SESSION_WINDOW
@@ -212,6 +213,25 @@ def test_verify_rejects_malformed_signatures(sim_group):
     assert not verify(pubkey, b"other", sig)
     assert not verify(pubkey, b"m", Signature(R=0, s=sig.s))
     assert not verify(pubkey, b"m", Signature(R=sig.R, s=sim_group.q))
+
+
+def test_prod2048_verify_on_cold_and_warm_key_tables():
+    # verify computes y^c on the key's comb, whose entries are made on
+    # demand.
+    from faskit.algebra import get_group
+    group = get_group("prod2048")
+    rng = random.Random(23)
+    pubkey, shares, _ = keygen_dealer(ThresholdParams(t=1, n=3), group, rng)
+    coms, partials = run_signing(pubkey, shares[:2], group, b"m", rng)
+    sig = combine(coms, partials, pubkey, b"m")
+    bumped = Signature(R=sig.R, s=(sig.s + 1) % group.q)
+    # Each order runs on a fresh key: the first check on a cold table,
+    # the second on the table the first one filled.
+    for first, second in ((sig, bumped), (bumped, sig)):
+        key = GroupPublicKey(y=pubkey.y, group=group, params=pubkey.params)
+        assert "_comb" not in vars(key)
+        assert verify(key, b"m", first) is (first is sig)
+        assert verify(key, b"m", second) is (second is sig)
 
 
 def test_verify_is_signer_set_blind():
