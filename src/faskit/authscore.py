@@ -8,9 +8,9 @@ out, so losing a device costs nothing but its weight.
 Cloud mode: scores are quantized to integers 0..100 (multiply by 100,
 round half up), Paillier-encrypted on the gateway, and aggregated by the
 scoring service as a homomorphic weighted sum. The service only ever
-touches ciphertexts; the gateway decrypts, divides by 100 * sum(weights),
-and gates locally. Agreement with local fusion is within the 0.01
-quantization error.
+touches ciphertexts; the gateway recovers the plaintext sum, divides by
+100 * sum(weights), and gates locally. Agreement with local fusion is
+within the 0.01 quantization error.
 """
 
 from __future__ import annotations
@@ -301,21 +301,33 @@ def phe_decrypt(c: PheCiphertext, keypair: PheKeypair) -> int:
 
 def fuse_encrypted(encrypted_scores: dict, integer_weights: dict,
                    public: PhePublicKey) -> PheCiphertext:
-    """Homomorphic weighted sum of the encrypted quantized scores.
+    """Homomorphic weighted sum of the encrypted quantized scores,
+    prod c_m^w_m mod n^2.
 
     Computed entirely on ciphertexts: the scoring service never decrypts.
     The gateway later divides the decrypted value by
-    SCORE_SCALE * sum(weights) to normalize.
+    SCORE_SCALE * sum(weights) to normalize. It is one simultaneous
+    (Straus/Shamir) exponentiation: table[s] is the product of the c_m
+    whose bit is set in s, and one chain of squarings serves every
+    weight, multiplying in at each bit the entry its weights select.
     """
     weights = {m: w for m, w in integer_weights.items()
                if m in encrypted_scores}
     if sum(weights.values()) <= 0:
         raise ParameterError("weight sum over present modalities is zero")
+    if any(w < 0 for w in weights.values()):
+        raise ParameterError("scaling factor must be non-negative")
+    n_sq = public.n_sq
+    terms = [(encrypted_scores[m], w) for m, w in weights.items() if w]
+    table = [1]
+    for c, _ in terms:
+        table += [t * c % n_sq for t in table]
     acc = 1  # multiplicative identity = Enc(0; 1)
-    for modality, c in encrypted_scores.items():
-        w = weights.get(modality, 0)
-        if w:
-            acc = phe_add(acc, phe_scale(c, w, public), public)
+    for bit in reversed(range(max(w for _, w in terms).bit_length())):
+        acc = acc * acc % n_sq
+        s = sum((w >> bit & 1) << i for i, (_, w) in enumerate(terms))
+        if s:
+            acc = acc * table[s] % n_sq
     return acc
 
 

@@ -279,8 +279,9 @@ class FaspService(_Transcript):
             raise PolicyError(f"no fusion policy for user {user_id!r}")
         mode = msg.payload.get("mode")
         # A request whose scores or ciphertexts do not parse, or whose
-        # scores lie outside [0, SCORE_SCALE], gets a reply with no value,
-        # which the PD treats as disagreement.
+        # scores lie outside [0, SCORE_SCALE] or ciphertexts outside
+        # [0, n^2), gets a reply with no value, which the PD treats as
+        # disagreement.
         payload = {"user_id": user_id, "mode": mode}
         if mode == "plain":
             scores = _request_values(msg.payload, "scores", _plain_score)
@@ -302,8 +303,9 @@ class FaspService(_Transcript):
             pub = self._paillier_pubs.get(user_id)
             if pub is None:
                 raise PolicyError(f"no encryption key for user {user_id!r}")
-            ciphertexts = _request_values(msg.payload, "ciphertexts",
-                                          lambda v: int(v, 16))
+            ciphertexts = _request_values(
+                msg.payload, "ciphertexts",
+                lambda v: _ciphertext(v, pub.n_sq))
             weights = policy.integer_weights(ciphertexts or ())
             if sum(weights.values()) > 0:
                 fused = fuse_encrypted(ciphertexts, weights, pub)
@@ -328,6 +330,14 @@ def _plain_score(value) -> int:
     if not 0 <= score <= SCORE_SCALE:
         raise ValueError(f"score {score} outside [0, {SCORE_SCALE}]")
     return score
+
+
+def _ciphertext(value, n_sq: int) -> int:
+    """A Paillier ciphertext, which lies in [0, n^2)."""
+    c = int(value, 16)
+    if not 0 <= c < n_sq:
+        raise ValueError(f"ciphertext outside [0, {n_sq})")
+    return c
 
 
 def _request_values(payload: dict, key: str, parse) -> dict | None:
@@ -478,6 +488,9 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     shares and enrolment templates are likewise gone when it returns,
     leaving only helper data on the PD.
     """
+    if pd.score_mode == "cloud-encrypted" and paillier_keypair is None:
+        raise ParameterError("cloud-encrypted scoring needs a Paillier "
+                             "keypair")
     dds = list(dds)
     pd.strategy = strategy
     pd.paillier = paillier_keypair
@@ -641,18 +654,18 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
         raise ParameterError(
             f"score mode {pd.score_mode!r} needs a scoring service")
 
-    means = modality_means(flow.readings, pd.policy, now)
+    scores = {m: quantize_score(v) for m, v in
+              modality_means(flow.readings, pd.policy, now).items()}
+    ciphertexts = {}
     if pd.score_mode == "cloud-plain":
         payload = {"user_id": pd.user_id, "mode": "plain",
-                   "scores": {m.value: quantize_score(v)
-                              for m, v in means.items()}}
+                   "scores": {m.value: v for m, v in scores.items()}}
     else:
+        ciphertexts = {m: phe_encrypt(v, pd.paillier, flow.rng)
+                       for m, v in scores.items()}
         payload = {"user_id": pd.user_id, "mode": "encrypted",
-                   "ciphertexts": {
-                       m.value: format(phe_encrypt(quantize_score(v),
-                                                   pd.paillier, flow.rng),
-                                       "x")
-                       for m, v in means.items()}}
+                   "ciphertexts": {m.value: format(c, "x")
+                                   for m, c in ciphertexts.items()}}
     # Note: no sp_id in the payload; the scoring service must not learn
     # where the user is authenticating.
     request = Message(type=MessageType.SCORE_REQUEST, sender=pd.entity_id,
@@ -667,7 +680,7 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
         return local
     reply = flow.send(reply, None, pd)
 
-    cloud_value = _cloud_value(pd, reply, means)
+    cloud_value = _cloud_value(pd, reply, scores, ciphertexts)
     if cloud_value is None or \
             not abs(cloud_value - local.value) <= CLOUD_AGREEMENT_TOL:
         # Tampered, forged or unparseable response (a NaN fails the
@@ -677,20 +690,36 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
                      mode="cloud")
 
 
-def _cloud_value(pd: PersonalDevice, reply: Message,
-                 means: dict) -> float | None:
+def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
+                 ciphertexts: dict) -> float | None:
     """The fused score a ScoreResponse claims, or None when its payload
-    does not parse or its ciphertext lies outside [0, n^2)."""
+    does not parse, its ciphertext lies outside [0, n^2) or the present
+    modalities' integer weights sum to 0.
+
+    `scores` are the quantized scores the PD sent, and `ciphertexts`
+    their encryptions. An honest encrypted reply is the product
+    fuse_encrypted makes of those ciphertexts, which Paillier's
+    homomorphism makes an encryption of sum(w * score) mod n. So the PD
+    rebuilds that product and decrypts only a reply that differs
+    (re-randomised, forged or mangled); both ways give the value
+    phe_decrypt would."""
     try:
         if pd.score_mode == "cloud-plain":
             return float(reply.payload["value"])
         fused = int(reply.payload["ciphertext"], 16)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if not 0 <= fused < pd.paillier.public.n_sq:
+    public = pd.paillier.public
+    weights = pd.policy.integer_weights(scores)
+    if not 0 <= fused < public.n_sq or sum(weights.values()) <= 0:
+        # Weights below 0.5 / WEIGHT_SCALE round to 0, and an honest
+        # service sends no value for them.
         return None
-    weights = pd.policy.integer_weights(means.keys())
-    return normalize_fused(phe_decrypt(fused, pd.paillier), weights)
+    if fused == fuse_encrypted(ciphertexts, weights, public):
+        plaintext = sum(w * scores[m] for m, w in weights.items()) % public.n
+    else:
+        plaintext = phe_decrypt(fused, pd.paillier)
+    return normalize_fused(plaintext, weights)
 
 
 def _answer_value(answer: Message, index: int, key: str, bound: int) -> int:

@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faskit.authscore import (AuthScore, FusionPolicy, Modality,
+from faskit.authscore import (WEIGHT_SCALE, AuthScore, FusionPolicy, Modality,
                               ModalityReading, fuse_encrypted, fuse_local,
                               gate, keypair_from_primes, modality_means,
                               normalize_fused, phe_add, phe_decrypt,
@@ -11,6 +14,7 @@ from faskit.authscore import (AuthScore, FusionPolicy, Modality,
 from faskit.errors import ParameterError
 
 G, L, H = Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT
+C = Modality.CUSTOM
 
 
 def policy_532(theta=0.7):
@@ -199,3 +203,42 @@ def test_cloud_and_local_fusion_agree():
         fused = fuse_encrypted(cts, int_weights, kp.public)
         cloud = normalize_fused(phe_decrypt(fused, kp), int_weights)
         assert abs(cloud - local) <= 0.01
+
+
+@functools.lru_cache(maxsize=None)
+def fusion_key(bits):
+    return phe_keygen(bits, random.Random(bits)).public
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bits=st.sampled_from([16, 64, 1024]), data=st.data())
+def test_fuse_encrypted_equals_the_product_of_powers(bits, data):
+    # One simultaneous exponentiation must give the product of one pow
+    # per modality, for 1-4 modalities, any c in [0, n^2) and weights
+    # from 0 to WEIGHT_SCALE (one of them positive). A weight for a
+    # modality with no ciphertext is ignored.
+    public = fusion_key(bits)
+    modalities = data.draw(st.lists(st.sampled_from((G, L, H, C)),
+                                    min_size=1, max_size=4, unique=True))
+    cts = {m: data.draw(st.integers(0, public.n_sq - 1))
+           for m in modalities}
+    weight = st.one_of(st.sampled_from([0, 1, WEIGHT_SCALE]),
+                       st.integers(0, WEIGHT_SCALE))
+    weights = {m: data.draw(weight) for m in modalities}
+    if sum(weights.values()) == 0:
+        weights[modalities[0]] = WEIGHT_SCALE
+    absent = [m for m in (G, L, H, C) if m not in cts]
+    if absent and data.draw(st.booleans()):
+        weights[absent[0]] = data.draw(weight)
+    expected = 1
+    for m, c in cts.items():
+        expected = expected * pow(c, weights[m], public.n_sq) % public.n_sq
+    assert fuse_encrypted(cts, weights, public) == expected
+
+
+def test_fuse_encrypted_rejects_zero_and_negative_weights():
+    public = fusion_key(64)
+    cts = {G: 2, L: 3}
+    for weights in ({G: 0, L: 0}, {H: 5}, {G: 5, L: -1}, {G: -1}):
+        with pytest.raises(ParameterError):
+            fuse_encrypted(cts, weights, public)

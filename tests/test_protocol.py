@@ -1,13 +1,16 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from faskit import protocol
 from faskit.algebra import get_group
-from faskit.authscore import FusionPolicy, Modality, phe_keygen
+from faskit.authscore import (FusionPolicy, Modality, phe_keygen,
+                              quantize_score)
 from faskit.errors import (ParameterError, PolicyError, RegistrationError)
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
@@ -529,6 +532,23 @@ def infinite_helper_m(payload):
     return payload
 
 
+@functools.lru_cache(maxsize=None)
+def make_user_n_sq():
+    """n^2 of the Paillier key make_user gives a CASE2 t=1 n=3 user."""
+    pd = make_user(Case.CASE2, 1, 3, SIM, score_mode="cloud-encrypted")[0]
+    return pd.paillier.public.n_sq
+
+
+def first_ciphertext(value):
+    """Set the first ciphertext of the request to value()."""
+    def mutate(payload):
+        ciphertexts = dict(payload["ciphertexts"])
+        ciphertexts[next(iter(ciphertexts))] = value()
+        payload["ciphertexts"] = ciphertexts
+        return payload
+    return mutate
+
+
 # (case, score mode, message type, sent by the PD, mutation, signers).
 # Each mutation hits the first message of its type; for a sensor reading
 # or a helper delivery, that is dd1's.
@@ -550,6 +570,13 @@ TRANSIT_MUTATIONS = {
                                      MessageType.SCORE_REQUEST, True,
                                      set_field("user_id", ["user1"]),
                                      ["dd1", "dd2"]),
+    "score-request-ciphertext-negative": (
+        Case.CASE2, "cloud-encrypted", MessageType.SCORE_REQUEST, True,
+        first_ciphertext(lambda: "-1"), ["dd1", "dd2"]),
+    "score-request-ciphertext-n-squared": (
+        Case.CASE2, "cloud-encrypted", MessageType.SCORE_REQUEST, True,
+        first_ciphertext(lambda: format(make_user_n_sq(), "x")),
+        ["dd1", "dd2"]),
     # The service answers with no value; the PD gates on local fusion.
     "score-request-score-overflows": (Case.CASE2, "cloud-plain",
                                       MessageType.SCORE_REQUEST, True,
@@ -768,3 +795,136 @@ def test_no_single_persistent_state_holds_the_key(sim_group):
         assert all("secret_key" not in s for s in states)
         if case is Case.CASE3:
             assert all("key_share_value" not in s for s in states)
+
+
+def test_cloud_encrypted_enrolment_needs_a_paillier_keypair(sim_group):
+    pd = PersonalDevice(user_id="user1", policy=make_policy(),
+                        score_mode="cloud-encrypted")
+    dds = [DumbDevice(index=i, modalities=[MODS[i - 1]]) for i in (1, 2, 3)]
+    with pytest.raises(ParameterError):
+        enroll(user_id="user1", strategy=CaseStrategy(case=Case.CASE2),
+               params=ThresholdParams(t=1, n=3), group=sim_group, pd=pd,
+               dds=dds, rng=random.Random(1))
+
+
+@pytest.mark.parametrize("ciphertext", ["-1", "n^2", "n^2+1"])
+def test_out_of_range_ciphertext_gets_no_value(sim_group, ciphertext):
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-encrypted")
+    n_sq = pd.paillier.public.n_sq
+    value = {"-1": "-1", "n^2": format(n_sq, "x"),
+             "n^2+1": format(n_sq + 1, "x")}[ciphertext]
+    request = Message(type=MessageType.SCORE_REQUEST, sender="pd",
+                      receiver="fasp", session_id="s",
+                      payload={"user_id": "user1", "mode": "encrypted",
+                               "ciphertexts": {"gait": "1f",
+                                               "location": value}})
+    reply = fasp.handle_score_request(request)
+    assert reply.payload == {"user_id": "user1", "mode": "encrypted"}
+
+
+def use_paillier(pd, fasp, keypair):
+    """Give an enrolled cloud-encrypted user another Paillier key."""
+    pd.paillier = keypair
+    fasp.register_policy(pd.user_id, pd.policy, paillier_pub=keypair.public)
+
+
+def spied_authentication(pd, dds, sp, fasp, rng, transit_hook=None):
+    """authenticate(), returning also the AuthScore the gateway gated on,
+    the ciphertexts it decrypted and the plaintext sums it normalized."""
+    scores, decrypted, plaintexts = [], [], []
+
+    def compute_auth_score(*args):
+        scores.append(real["_compute_auth_score"](*args))
+        return scores[-1]
+
+    def decrypt(c, keypair):
+        decrypted.append(c)
+        return real["phe_decrypt"](c, keypair)
+
+    def normalize(plaintext, weights):
+        plaintexts.append(plaintext)
+        return real["normalize_fused"](plaintext, weights)
+
+    spies = {"_compute_auth_score": compute_auth_score,
+             "phe_decrypt": decrypt, "normalize_fused": normalize}
+    real = {name: getattr(protocol, name) for name in spies}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, spy in spies.items():
+            mp.setattr(protocol, name, spy)
+        _, result = authenticate(pd, dds, sp, rng, fasp=fasp,
+                                 transit_hook=transit_hook)
+    [score] = scores
+    return result, score, decrypted, plaintexts
+
+
+def rerandomise(public, rho):
+    """Multiply the ScoreResponse by Enc(0; rho) = rho^n mod n^2: the
+    same plaintext under another ciphertext."""
+    def hook(msg):
+        if msg.type is not MessageType.SCORE_RESPONSE:
+            return msg
+        c = int(msg.payload["ciphertext"], 16)
+        c = c * pow(rho, public.n, public.n_sq) % public.n_sq
+        return Message(type=msg.type, sender=msg.sender,
+                       receiver=msg.receiver, session_id=msg.session_id,
+                       payload=dict(msg.payload, ciphertext=format(c, "x")))
+    return hook
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bits=st.sampled_from([16, 64]),
+       reads=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       rho=st.integers(2, 2 ** 40))
+@example(bits=16, reads=[0.9, 0.9, 0.9], rho=65537)
+def test_honest_encrypted_reply_is_rebuilt_not_decrypted(bits, reads, rho):
+    # The same CASE2 flow twice: once honest, once with the reply
+    # re-randomised, which the gateway cannot rebuild and so decrypts.
+    # Both recover sum(w * q) mod n and gate on the same AuthScore; only
+    # the re-randomised one decrypts. With a 16-bit key the weighted sum
+    # (up to 10^8) wraps mod n.
+    keypair = phe_keygen(bits, random.Random(bits))
+    assume(math.gcd(rho, keypair.public.n) == 1)
+    runs = []
+    for hook in (None, rerandomise(keypair.public, rho)):
+        pd, dds, sp, fasp, rng, _ = make_user(
+            Case.CASE2, 1, 3, SIM, score_mode="cloud-encrypted")
+        use_paillier(pd, fasp, keypair)
+        for dd, read in zip(dds, reads):
+            dd.current_scores = {dd.modalities[0]: read}
+        runs.append(spied_authentication(pd, dds, sp, fasp, rng, hook))
+    (result, score, decrypted, plaintexts), rerandomised = runs
+    weights = pd.policy.integer_weights(MODS)
+    expected = sum(weights[m] * quantize_score(read)
+                   for m, read in zip(MODS, reads)) % keypair.public.n
+    assert decrypted == [] and len(rerandomised[2]) == 1
+    assert plaintexts == rerandomised[3] == [expected]
+    assert score == rerandomised[1]
+    assert result.payload == rerandomised[0].payload
+
+
+def test_rerandomised_honest_reply_is_decrypted_and_believed(sim_group):
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-encrypted")
+    result, score, decrypted, _ = spied_authentication(
+        pd, dds, sp, fasp, rng, rerandomise(pd.paillier.public, 65537))
+    assert len(decrypted) == 1
+    assert score.mode == "cloud" and abs(score.value - 0.9) < 1e-12
+    assert result.payload == {"granted": True, "reason": "ok"}
+
+
+def test_reply_with_zero_integer_weights_falls_back_to_local_fusion(
+        sim_group):
+    # Weights this small round to 0 on the cloud path: the service sends
+    # no value, and a ciphertext put into its reply is disregarded.
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-encrypted")
+    tiny = FusionPolicy(weights={m: 1e-7 for m in MODS})
+    pd.policy = tiny
+    fasp.register_policy(pd.user_id, tiny, paillier_pub=pd.paillier.public)
+    for forged in (None, "1"):
+        hook = forged and replace_first(MessageType.SCORE_RESPONSE,
+                                        set_field("ciphertext", forged))
+        _, result = authenticate(pd, dds, sp, rng, fasp=fasp,
+                                 transit_hook=hook)
+        assert result.payload == {"granted": True, "reason": "ok"}

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from faskit import protocol
 from faskit.errors import ConfigError, NondeterminismError
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import message_from_wire
@@ -206,3 +207,28 @@ def test_report_json_shape():
     assert obj["grants"] + obj["denials"] == obj["trials"]
     assert obj["metadata"]["out_of_scope"]
     assert len(obj["outcomes"]) == 5
+
+
+def test_forged_encrypted_score_is_decrypted_and_overridden(monkeypatch):
+    # The gateway cannot rebuild the forgery from its own ciphertexts, so
+    # it decrypts it, once per trial, and gates on local fusion.
+    decrypted, modes = [], []
+    real_decrypt = protocol.phe_decrypt
+    real_compute = protocol._compute_auth_score
+
+    def decrypt(c, keypair):
+        decrypted.append(c)
+        return real_decrypt(c, keypair)
+
+    def compute_auth_score(*args):
+        score = real_compute(*args)
+        modes.append(score.mode)
+        return score
+
+    monkeypatch.setattr(protocol, "phe_decrypt", decrypt)
+    monkeypatch.setattr(protocol, "_compute_auth_score", compute_auth_score)
+    report = run_scenario(small(case=2, adversary="score_inflate",
+                                score_mode="cloud-encrypted", trials=10))
+    assert report.reason_counts == {"score": 10}
+    assert len(decrypted) == 10
+    assert modes == ["local"] * 10
