@@ -23,9 +23,10 @@ _SMALL_PRIMES = (
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
+_MILLER_RABIN_ROUNDS = 40
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test with bases drawn from a fixed seed,
     so the answer is deterministic for a given n."""
     if n < 2:
@@ -41,7 +42,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         r += 1
     rng = random.Random(0x5EED ^ (n & 0xFFFFFFFF))
-    for _ in range(rounds):
+    for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -63,8 +63,9 @@ class FusionPolicy:
     def __post_init__(self):
         if not self.weights or all(w <= 0 for w in self.weights.values()):
             raise ParameterError("policy needs at least one positive weight")
-        if any(w < 0 for w in self.weights.values()):
-            raise ParameterError("weights must be non-negative")
+        if not all(0 <= w * WEIGHT_SCALE < math.inf
+                   for w in self.weights.values()):
+            raise ParameterError("weights must be finite and non-negative")
         if not 0.0 <= self.theta <= 1.0:
             raise ParameterError(f"theta must be in [0,1], got {self.theta}")
 

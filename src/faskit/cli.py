@@ -58,10 +58,10 @@ def _rng(seed: int | None) -> random.Random:
 
 def _emit(obj: dict, summary: str, output: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
     if output:
         with open(output, "w") as handle:
             handle.write(text + "\n")
+    sys.stdout.write(text + "\n")
     sys.stderr.write(summary + "\n")
 
 
@@ -85,12 +85,24 @@ def _cmd_keygen(args) -> int:
 
 
 def _parse_floats(text: str) -> list:
-    return [float(x) for x in text.split(",") if x != ""]
+    """At least one comma-separated number."""
+    try:
+        values = [float(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _build_policy(weights, theta) -> FusionPolicy:
-    mapping = {MODALITY_ORDER[i]: w for i, w in enumerate(weights)}
-    return FusionPolicy(weights=mapping, theta=theta)
+    if len(weights) > len(MODALITY_ORDER):
+        raise ParameterError(
+            f"--weights: {len(weights)} values for "
+            f"{len(MODALITY_ORDER)} modalities")
+    return FusionPolicy(weights=dict(zip(MODALITY_ORDER, weights)),
+                        theta=theta)
 
 
 def _setup_user(args, policy: FusionPolicy):
@@ -171,27 +183,27 @@ def _cmd_auth(args) -> int:
     return 0 if granted else 1
 
 
-def _cmd_simulate(args) -> int:
-    with open(args.config) as handle:
-        obj = json.load(handle)
-    if args.seed is not None:
+def _load_config(args) -> ScenarioConfig:
+    """The --config scenario file, with --seed overriding its seed."""
+    try:
+        with open(args.config) as handle:
+            obj = json.load(handle)
+    except (OSError, ValueError) as exc:   # unreadable, not UTF-8 or JSON
+        raise ConfigError(f"--config: {exc}") from None
+    if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
-    config = ScenarioConfig.from_json(obj)
-    report = run_scenario(config, transcript_path=args.transcript)
-    out = report.to_json()
-    _emit(out, f"{report.trials} trial(s): {report.grants} granted, "
-               f"digest {report.transcript_digest[:16]}...", args.output)
+    return ScenarioConfig.from_json(obj)
+
+
+def _cmd_simulate(args) -> int:
+    report = run_scenario(_load_config(args), transcript_path=args.transcript)
+    _emit(report.to_json(), f"{report.trials} trial(s): {report.grants} "
+          f"granted, digest {report.transcript_digest[:16]}...", args.output)
     return 0
 
 
 def _cmd_rates(args) -> int:
-    with open(args.config) as handle:
-        obj = json.load(handle)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    config = ScenarioConfig.from_json(obj)
-    sweep = _parse_floats(args.sweep)
-    rows = simulator.estimate_rates(config, sweep)
+    rows = simulator.estimate_rates(_load_config(args), args.sweep)
     _emit({"rows": rows}, f"swept {len(rows)} noise level(s)", args.output)
     return 0
 
@@ -332,8 +344,16 @@ def _cmd_verify_kat(args) -> int:
     return 0 if ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, which main reports like any
+    other bad parameter."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="faskit",
         description="Frictionless multi-device authentication toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="sweep noise levels, report FRR/FAR")
     p.add_argument("--config", required=True)
-    p.add_argument("--sweep", required=True,
+    p.add_argument("--sweep", required=True, type=_parse_floats,
                    help="comma-separated p_flip values")
     p.add_argument("--seed", type=int, default=None)
     common(p)
@@ -396,15 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ParameterError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except SystemExit as exc:   # --help
+        return 2 if exc.code not in (0, None) else 0
+    except (ConfigError, ParameterError, OSError) as exc:
         _emit({"error": str(exc), "kind": "config"},
               f"error: {exc}", None)
         return 2

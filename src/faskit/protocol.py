@@ -56,7 +56,8 @@ from .thresholdsig import verify as verify_signature
 
 WIRE_VERSION = "FAS-v1"
 NONCE_BYTES = 32
-DEFAULT_NONCE_TTL = 100
+NONCE_TTL = 100
+SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 CLOUD_AGREEMENT_TOL = 0.01
 _TRANSCRIPT_WINDOW = 64
 
@@ -159,12 +160,10 @@ class ServiceProvider(_Transcript):
     """
 
     def __init__(self, sp_id: str, rng: random.Random,
-                 nonce_ttl: int = DEFAULT_NONCE_TTL,
                  challenge_fn=compute_challenge_scalar):
         super().__init__()
         self.sp_id = sp_id
         self._rng = rng
-        self._nonce_ttl = nonce_ttl
         self._challenge_fn = challenge_fn
         self._users: dict = {}
         self._nonces: OrderedDict = OrderedDict()   # in issue order
@@ -183,7 +182,7 @@ class ServiceProvider(_Transcript):
             raise RegistrationError(f"unknown user {user_id!r}")
         while self._nonces:
             oldest = next(iter(self._nonces.values()))
-            if now - oldest["issued"] <= self._nonce_ttl:
+            if now - oldest["issued"] <= NONCE_TTL:
                 break
             self._nonces.popitem(last=False)
         nonce = self._rng.getrandbits(8 * NONCE_BYTES).to_bytes(
@@ -211,7 +210,7 @@ class ServiceProvider(_Transcript):
             return self._result(response, False, "nonce-unknown")
         if entry["used"]:
             return self._result(response, False, "replay")
-        if now - entry["issued"] > self._nonce_ttl:
+        if now - entry["issued"] > NONCE_TTL:
             return self._result(response, False, "expired")
         pubkey = self._users[entry["user_id"]]
         try:
@@ -449,8 +448,7 @@ class PersonalDevice(_Transcript):
     def __init__(self, user_id: str, policy: FusionPolicy,
                  score_mode: str = "local-bypass"):
         super().__init__()
-        if score_mode not in ("local-bypass", "cloud-plain",
-                              "cloud-encrypted"):
+        if score_mode not in SCORE_MODES:
             raise ParameterError(f"unknown score mode {score_mode!r}")
         self.user_id = user_id
         self.entity_id = "pd"

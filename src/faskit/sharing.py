@@ -60,9 +60,6 @@ class FeldmanCommitments:
 
     commitments: tuple
 
-    def __len__(self) -> int:
-        return len(self.commitments)
-
     def to_json(self) -> list:
         return [format(c, "x") for c in self.commitments]
 

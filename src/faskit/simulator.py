@@ -30,9 +30,9 @@ import json
 import random
 from dataclasses import asdict, dataclass, field, replace
 
-from .algebra import get_group, group_names
+from .algebra import get_group
 from .authscore import FusionPolicy, Modality, phe_encrypt, phe_keygen
-from .errors import ConfigError, NondeterminismError
+from .errors import ConfigError, NondeterminismError, ParameterError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, ServiceProvider, enroll,
@@ -42,7 +42,6 @@ from .sharing import ThresholdParams
 
 ADVERSARIES = ("none", "stolen_k", "tamper_partial", "replay", "eavesdrop",
                "score_inflate")
-SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
 
@@ -72,60 +71,61 @@ class ScenarioConfig:
     trials: int = 100
 
     def validate(self) -> None:
-        if self.case not in (1, 2, 3):
-            raise ConfigError("case: must be 1, 2 or 3")
-        if self.t < 0:
-            raise ConfigError("t: must be >= 0")
-        if self.n < 1:
-            raise ConfigError("n: must be >= 1")
-        if self.t + 1 > self.n:
-            raise ConfigError("t: need t+1 <= n")
-        if not 0.0 <= self.p_flip <= 0.5:
-            raise ConfigError("p_flip: must lie in [0, 0.5]")
-        if self.adversary not in ADVERSARIES:
-            raise ConfigError(
-                f"adversary: unknown value {self.adversary!r}")
-        if not 0 <= self.adversary_k <= self.n:
-            raise ConfigError("adversary_k: need 0 <= k <= n")
-        if self.score_mode not in SCORE_MODES:
-            raise ConfigError(
-                f"score_mode: unknown value {self.score_mode!r}")
-        if self.adversary == "score_inflate" \
-                and self.score_mode == "local-bypass":
-            raise ConfigError(
-                "adversary: score_inflate needs a cloud score_mode")
-        if self.adversary == "tamper_partial" and self.case == 1:
-            raise ConfigError("adversary: tamper_partial needs case 2 or 3")
-        if not self.weights or all(w <= 0 for w in self.weights.values()):
-            raise ConfigError("weights: need at least one positive weight")
-        if any(w < 0 for w in self.weights.values()):
-            raise ConfigError("weights: must be non-negative")
-        for name in self.weights:
+        """Run the rule table in order; the first failing rule becomes a
+        ConfigError that names its field."""
+        for name, check in self._rules():
             try:
-                Modality(name)
-            except ValueError:
-                raise ConfigError(f"weights.{name}: unknown modality")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError("theta: must lie in [0, 1]")
-        if self.staleness_max < 0:
-            raise ConfigError("staleness_max: must be >= 0")
-        if self.group not in group_names():
-            raise ConfigError(
-                f"group: unknown parameter set {self.group!r}")
-        if self.code_r < 1 or self.code_r % 2 == 0:
-            raise ConfigError("code_r: must be odd and >= 1")
-        if self.paillier_bits < 16:
-            raise ConfigError("paillier_bits: must be >= 16")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed: must be a 64-bit unsigned integer")
-        if self.trials < 0:
-            raise ConfigError("trials: must be >= 0")
-        if self.present_devices is not None:
-            valid = set(self._device_indices())
-            bad = [i for i in self.present_devices if i not in valid]
-            if bad:
-                raise ConfigError(
-                    f"present_devices: indices {bad} out of range")
+                check()
+            except (ParameterError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+
+    def _rules(self):
+        """(field, check) rows; a check fails by raising. A rule that a
+        domain type owns is checked by building that type, and a row may
+        rely on every row before it having passed."""
+        yield "case", lambda: Case(_typed(self.case, int))
+        yield "n", lambda: ThresholdParams(t=0, n=_typed(self.n, int))
+        yield "t", lambda: ThresholdParams(t=_typed(self.t, int), n=self.n)
+        yield "p_flip", lambda: _require(
+            0 <= _typed(self.p_flip, int, float) <= 0.5,
+            "must lie in [0, 0.5]")
+        yield "adversary", lambda: _require(
+            self.adversary in ADVERSARIES,
+            f"unknown value {self.adversary!r}")
+        yield "adversary_k", lambda: _require(
+            0 <= _typed(self.adversary_k, int) <= self.n, "need 0 <= k <= n")
+        yield "adversary", lambda: _require(
+            self.adversary != "score_inflate"
+            or self.score_mode != "local-bypass",
+            "score_inflate needs a cloud score_mode")
+        yield "adversary", lambda: _require(
+            self.adversary != "tamper_partial" or self.case != 1,
+            "tamper_partial needs case 2 or 3")
+        yield "weights", lambda: _typed(self.weights, dict)
+        for name, weight in self.weights.items():
+            yield f"weights.{name}", lambda name=name, weight=weight: (
+                Modality(name), _typed(weight, int, float))
+        yield "weights", lambda: FusionPolicy(weights=self.weights)
+        yield "theta", self.policy
+        yield "score_mode", lambda: PersonalDevice(
+            user_id="", policy=self.policy(), score_mode=self.score_mode)
+        yield "staleness_max", lambda: _require(
+            _typed(self.staleness_max, int) >= 0, "must be >= 0")
+        yield "group", lambda: get_group(self.group)
+        yield "code_r", lambda: CodeParams(m=1, r=_typed(self.code_r, int))
+        yield "paillier_bits", lambda: _require(
+            _typed(self.paillier_bits, int) >= 16, "must be >= 16")
+        yield "seed", lambda: _require(
+            0 <= _typed(self.seed, int) < 2 ** 64,
+            "must be a 64-bit unsigned integer")
+        yield "trials", lambda: _require(
+            _typed(self.trials, int) >= 0, "must be >= 0")
+        yield "impostor", lambda: _typed(self.impostor, bool)
+        yield "pd_holds_share", lambda: _typed(self.pd_holds_share, bool)
+        yield "present_devices", lambda: _require(
+            self.present_devices is None
+            or set(self.present_devices) <= set(self._device_indices()),
+            "names a device that is not enrolled")
 
     def _device_indices(self) -> list:
         start = 2 if self.pd_holds_share and self.case != 1 else 1
@@ -193,6 +193,20 @@ class SimReport:
                           separators=(",", ":"))
 
 
+def _require(ok: bool, reason: str) -> None:
+    if not ok:
+        raise ValueError(reason)
+
+
+def _typed(value, *types):
+    """value itself when its exact type is one of types, so a bool is not
+    an int and a numeric string is not a number."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {value!r}")
+    return value
+
+
 def _draw_bits(rng: random.Random, length: int) -> str:
     return format(rng.getrandbits(length), f"0{length}b")
 
@@ -213,34 +227,30 @@ class _Trial:
         self.policy = config.policy()
         master = random.Random(config.seed ^ trial_index)
 
-        indices = config._device_indices()
         mods = sorted(self.policy.weights, key=lambda m: m.value)
+        self.dds = [DumbDevice(index=i, modalities=[mods[pos % len(mods)]])
+                    for pos, i in enumerate(config._device_indices())]
+        length = self.code.codeword_length
 
         # Stage 1: enrolment templates.
-        self.enrol_templates = {}
+        enrolment = {}
         if config.case == 3:
-            for i in indices:
-                self.enrol_templates[i] = _draw_bits(
-                    master, self.code.codeword_length)
+            enrolment = {dd.index: _draw_bits(master, length)
+                         for dd in self.dds}
 
-        # Stage 2: authentication-time sensor draws. Adversarial contexts
-        # (impostor, thief with stolen devices, score forger) measure the
-        # wrong person: independent templates and low scores.
+        # Stage 2: authentication-time sensor draws, straight into what
+        # each device measures right now. Adversarial contexts (impostor,
+        # thief with stolen devices, score forger) measure the wrong
+        # person: independent templates and low scores.
         rogue_sensors = config.impostor or config.adversary in (
             "stolen_k", "score_inflate")
-        self.auth_templates = {}
-        self.auth_scores = {}
-        for pos, i in enumerate(indices):
+        low, high = (0.0, 0.4) if rogue_sensors else (0.8, 1.0)
+        for dd in self.dds:
             if config.case == 3:
-                if rogue_sensors:
-                    self.auth_templates[i] = _draw_bits(
-                        master, self.code.codeword_length)
-                else:
-                    self.auth_templates[i] = _flip_noise(
-                        master, self.enrol_templates[i], config.p_flip)
-            modality = mods[pos % len(mods)]
-            low, high = (0.0, 0.4) if rogue_sensors else (0.8, 1.0)
-            self.auth_scores[i] = {modality: master.uniform(low, high)}
+                dd.current_template = _draw_bits(master, length) \
+                    if rogue_sensors else _flip_noise(
+                        master, enrolment[dd.index], config.p_flip)
+            dd.current_scores = {dd.modalities[0]: master.uniform(low, high)}
 
         # Stages 3 and 4: substream seeds, in this order.
         self.rng_nonce = random.Random(master.getrandbits(64))
@@ -253,10 +263,6 @@ class _Trial:
             code=self.code if config.case == 3 else None)
         self.pd = PersonalDevice(user_id="user1", policy=self.policy,
                                  score_mode=config.score_mode)
-        self.dds = []
-        for pos, i in enumerate(indices):
-            dd = DumbDevice(index=i, modalities=[mods[pos % len(mods)]])
-            self.dds.append(dd)
         self.fasp = None
         paillier = None
         if config.score_mode != "local-bypass":
@@ -267,7 +273,7 @@ class _Trial:
             user_id="user1", strategy=strategy,
             params=ThresholdParams(t=config.t, n=config.n),
             group=self.group, pd=self.pd, dds=self.dds, rng=self.rng_keys,
-            enrolment_templates=self.enrol_templates or None,
+            enrolment_templates=enrolment or None,
             paillier_keypair=paillier)
         self.sp = ServiceProvider(sp_id="sp1", rng=self.rng_nonce)
         self.sp.register_user(record)
@@ -276,11 +282,6 @@ class _Trial:
                 "user1", self.policy,
                 paillier_pub=paillier.public if paillier else None)
 
-        # Load the sensors with what they would measure right now.
-        for dd in self.dds:
-            dd.current_scores = dict(self.auth_scores[dd.index])
-            dd.current_template = self.auth_templates.get(dd.index)
-
     def live_devices(self) -> list:
         present = self.config.present_devices
         if present is None:
@@ -288,37 +289,32 @@ class _Trial:
         return [dd for dd in self.dds if dd.index in present]
 
 
-def _run_normal_trial(trial: _Trial, transit_hook=None) -> tuple:
+def _submit(trial: _Trial, messages: list) -> tuple:
+    """(messages, verdict): the SP verifies the last message when it is an
+    AuthResponse; otherwise it is already the gateway's denial."""
+    if messages[-1].type is MessageType.AUTH_RESPONSE:
+        messages.append(trial.sp.verify(messages[-1], now=0))
+    return messages, messages[-1]
+
+
+def _run_normal_trial(trial: _Trial) -> tuple:
     """Genuine/impostor/eavesdrop/tamper/score_inflate flow: full five
     steps, outcome taken from the final AuthResult."""
+    make_hook = _TRANSIT_HOOKS.get(trial.config.adversary)
     req, challenge = request_challenge("user1", trial.sp, now=0)
-    messages = [req, challenge]
-    flow = pd_run_authentication(
+    return _submit(trial, [req, challenge, *pd_run_authentication(
         trial.pd, trial.live_devices(), challenge, now=0,
-        rng=trial.rng_nonce, fasp=trial.fasp, transit_hook=transit_hook)
-    messages.extend(flow)
-    last = flow[-1]
-    if last.type is MessageType.AUTH_RESPONSE:
-        result = trial.sp.verify(last, now=0)
-        messages.append(result)
-    else:
-        result = last
-    return messages, result
+        rng=trial.rng_nonce, fasp=trial.fasp,
+        transit_hook=make_hook(trial) if make_hook else None)])
 
 
 def _run_replay_trial(trial: _Trial) -> tuple:
     """Genuine flow, then the recorded AuthResponse is submitted again.
     The trial outcome is the fate of the replayed submission."""
     messages, first = _run_normal_trial(trial)
-    responses = [m for m in messages
-                 if m.type is MessageType.AUTH_RESPONSE]
-    if not responses:
+    if messages[-2].type is not MessageType.AUTH_RESPONSE:
         return messages, first
-    replayed = responses[-1]
-    messages.append(replayed)
-    result = trial.sp.verify(replayed, now=0)
-    messages.append(result)
-    return messages, result
+    return _submit(trial, messages + [messages[-2]])
 
 
 def _run_stolen_k_trial(trial: _Trial) -> tuple:
@@ -342,12 +338,7 @@ def _run_stolen_k_trial(trial: _Trial) -> tuple:
     last = pd_run_authentication(
         rogue, trial.dds[:trial.config.adversary_k], challenge, now=0,
         rng=trial.rng_nonce)[-1]
-    messages = [req, challenge, last]
-    result = last
-    if last.type is MessageType.AUTH_RESPONSE:
-        result = trial.sp.verify(last, now=0)
-        messages.append(result)
-    return messages, result
+    return _submit(trial, [req, challenge, last])
 
 
 def _make_tamper_hook(trial: _Trial):
@@ -361,11 +352,8 @@ def _make_tamper_hook(trial: _Trial):
         if "s" not in msg.payload:
             return msg
         state["done"] = True
-        tampered = dict(msg.payload)
-        tampered["s"] = format((int(tampered["s"], 16) + 1) % q, "x")
-        return Message(type=msg.type, sender=msg.sender,
-                       receiver=msg.receiver, session_id=msg.session_id,
-                       payload=tampered)
+        s = (int(msg.payload["s"], 16) + 1) % q
+        return replace(msg, payload={**msg.payload, "s": format(s, "x")})
 
     return hook
 
@@ -384,19 +372,20 @@ def _make_score_inflate_hook(trial: _Trial):
             pub = trial.pd.paillier.public
             big = phe_encrypt(10 ** 13 % pub.n, pub, trial.rng_nonce)
             forged["ciphertext"] = format(big, "x")
-        return Message(type=msg.type, sender=msg.sender,
-                       receiver=msg.receiver, session_id=msg.session_id,
-                       payload=forged)
+        return replace(msg, payload=forged)
 
     return hook
 
 
-def _scan_plaintext_scores(messages) -> dict:
-    """What a passive eavesdropper on the external links (gateway to SP
-    and gateway to scoring service) saw in the clear."""
-    scanned = 0
-    plaintext = 0
-    types = set()
+_TRANSIT_HOOKS = {"tamper_partial": _make_tamper_hook,
+                  "score_inflate": _make_score_inflate_hook}
+_TRIAL_RUNS = {"stolen_k": _run_stolen_k_trial,
+               "replay": _run_replay_trial}
+
+
+def _scan_plaintext_scores(messages, seen: dict) -> None:
+    """Add to seen what a passive eavesdropper on the external links
+    (gateway to SP and gateway to scoring service) saw in the clear."""
     for msg in messages:
         if msg.type not in (MessageType.SCORE_REQUEST,
                             MessageType.SCORE_RESPONSE,
@@ -404,18 +393,15 @@ def _scan_plaintext_scores(messages) -> dict:
                             MessageType.AUTH_RESPONSE,
                             MessageType.AUTH_RESULT):
             continue
-        scanned += 1
+        seen["external_messages_scanned"] += 1
         if msg.type is MessageType.SCORE_REQUEST \
                 and "scores" in msg.payload:
-            plaintext += len(msg.payload["scores"])
-            types.add(msg.type.value)
+            seen["plaintext_score_values"] += len(msg.payload["scores"])
+            seen["message_types_with_plaintext_scores"].add(msg.type.value)
         if msg.type is MessageType.SCORE_RESPONSE \
                 and "value" in msg.payload:
-            plaintext += 1
-            types.add(msg.type.value)
-    return {"external_messages_scanned": scanned,
-            "plaintext_score_values": plaintext,
-            "message_types_with_plaintext_scores": sorted(types)}
+            seen["plaintext_score_values"] += 1
+            seen["message_types_with_plaintext_scores"].add(msg.type.value)
 
 
 def run_scenario(config: ScenarioConfig, transcript_path=None) -> SimReport:
@@ -427,41 +413,20 @@ def run_scenario(config: ScenarioConfig, transcript_path=None) -> SimReport:
     reason_counts: dict = {}
     message_counts: dict = {}
     grants = 0
-    eavesdrop_report = None
+    eavesdrop = None
+    if config.adversary == "eavesdrop":
+        eavesdrop = {"external_messages_scanned": 0,
+                     "plaintext_score_values": 0,
+                     "message_types_with_plaintext_scores": set()}
     adversarial = config.impostor or config.adversary in (
         "stolen_k", "tamper_partial", "replay", "score_inflate")
 
     try:
+        run_trial = _TRIAL_RUNS.get(config.adversary, _run_normal_trial)
         for trial_index in range(config.trials):
-            trial = _Trial(config, trial_index)
-            if config.adversary == "stolen_k":
-                messages, result = _run_stolen_k_trial(trial)
-            elif config.adversary == "replay":
-                messages, result = _run_replay_trial(trial)
-            elif config.adversary == "tamper_partial":
-                messages, result = _run_normal_trial(
-                    trial, transit_hook=_make_tamper_hook(trial))
-            elif config.adversary == "score_inflate":
-                messages, result = _run_normal_trial(
-                    trial, transit_hook=_make_score_inflate_hook(trial))
-            else:
-                messages, result = _run_normal_trial(trial)
-
-            if config.adversary == "eavesdrop":
-                scan = _scan_plaintext_scores(messages)
-                if eavesdrop_report is None:
-                    eavesdrop_report = scan
-                else:
-                    for key in ("external_messages_scanned",
-                                "plaintext_score_values"):
-                        eavesdrop_report[key] += scan[key]
-                    merged = set(eavesdrop_report[
-                        "message_types_with_plaintext_scores"])
-                    merged.update(
-                        scan["message_types_with_plaintext_scores"])
-                    eavesdrop_report[
-                        "message_types_with_plaintext_scores"] = \
-                        sorted(merged)
+            messages, result = run_trial(_Trial(config, trial_index))
+            if eavesdrop is not None:
+                _scan_plaintext_scores(messages, eavesdrop)
 
             granted = bool(result.payload["granted"])
             reason = result.payload["reason"]
@@ -480,6 +445,9 @@ def run_scenario(config: ScenarioConfig, transcript_path=None) -> SimReport:
         if sink is not None:
             sink.close()
 
+    if eavesdrop is not None:
+        eavesdrop["message_types_with_plaintext_scores"] = sorted(
+            eavesdrop["message_types_with_plaintext_scores"])
     genuine = 0 if adversarial else config.trials
     frr = (config.trials - grants) / genuine if genuine else None
     far = grants / config.trials if adversarial and config.trials else None
@@ -493,7 +461,7 @@ def run_scenario(config: ScenarioConfig, transcript_path=None) -> SimReport:
         outcomes=outcomes,
         message_counts=message_counts,
         transcript_digest=digest.hexdigest(),
-        eavesdrop=eavesdrop_report,
+        eavesdrop=eavesdrop,
         metadata={"out_of_scope": [OUT_OF_SCOPE_NOTE],
                   "draw_order": "template bits, noise bits and scores, "
                                 "nonce substream, keygen substream"},
@@ -510,12 +478,10 @@ def estimate_rates(config: ScenarioConfig, sweep) -> list:
     """
     rows = []
     for p_flip in sweep:
-        genuine = ScenarioConfig(**{**config.to_json(), "p_flip": p_flip,
-                                    "impostor": False, "adversary": "none"})
-        impostor = ScenarioConfig(**{**config.to_json(), "p_flip": p_flip,
-                                     "impostor": True, "adversary": "none"})
+        genuine = replace(config, p_flip=p_flip, impostor=False,
+                          adversary="none")
         frr = run_scenario(genuine).frr
-        far = run_scenario(impostor).far
+        far = run_scenario(replace(genuine, impostor=True)).far
         rows.append({"p_flip": p_flip, "frr": frr, "far": far})
     return rows
 

@@ -100,6 +100,13 @@ def test_policy_validation():
         ModalityReading("dd1", G, 1.2, 0)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), 1e308])
+def test_policy_refuses_a_weight_the_cloud_path_cannot_scale(weight):
+    # 1e308 is finite, but 1e308 * WEIGHT_SCALE is not.
+    with pytest.raises(ParameterError, match="finite"):
+        FusionPolicy(weights={G: weight, L: 0.5})
+
+
 def test_policy_json_round_trip():
     policy = policy_532(theta=0.6)
     assert FusionPolicy.from_json(policy.to_json()) == policy

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from faskit.cli import main
 
 
@@ -150,3 +152,50 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trials"] == 3
+
+
+BAD_FLAGS = [
+    # More weights than the four modalities.
+    (["auth", "--weights", "1,1,1,1,1"], "--weights"),
+    # An empty score list.
+    (["auth", "--scores", ","], "--scores"),
+    (["rates", "--sweep", "x"], "--sweep"),
+    # A directory where the scenario file should be.
+    (["simulate", "--config", "{tmp}"], "--config"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS,
+                         ids=[flag for _, flag in BAD_FLAGS])
+def test_bad_flag_exits_2_naming_the_flag(capsys, tmp_path, argv, flag):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] == "rates":
+        argv += ["--config", write_config(tmp_path)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    obj = parse(out)
+    assert obj["kind"] == "config"
+    assert flag in obj["error"]
+
+
+def test_unreadable_config_or_output_exits_2(capsys, tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    code, out, _ = run_cli(capsys, ["simulate", "--config", str(listed),
+                                    "--seed", "3"])
+    assert code == 2
+    assert parse(out)["error"].startswith("config:")
+
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xd0\xff{}")
+    code, out, _ = run_cli(capsys, ["simulate", "--config", str(binary)])
+    assert code == 2
+    assert parse(out)["error"].startswith("--config:")
+
+    # The report is not printed when --output cannot be written: stdout
+    # holds the error object alone.
+    code, out, _ = run_cli(capsys, ["simulate", "--config",
+                                    write_config(tmp_path, trials=1),
+                                    "--output", str(tmp_path)])
+    assert code == 2
+    assert parse(out)["kind"] == "config"

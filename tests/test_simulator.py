@@ -45,6 +45,47 @@ def test_config_validation_names_the_field():
         assert str(err.value).startswith(path + ":"), (overrides, err.value)
 
 
+MISTYPED = [
+    ({"t": "2"}, "t"),
+    ({"n": 5.0}, "n"),
+    ({"trials": 1.5}, "trials"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": 1.0}, "seed"),
+    ({"present_devices": 5}, "present_devices"),
+    ({"weights": [1]}, "weights"),
+    ({"weights": {"gait": "x"}}, "weights.gait"),
+    ({"theta": None}, "theta"),
+    ({"p_flip": "0.1"}, "p_flip"),
+    ({"code_r": "3"}, "code_r"),
+    ({"adversary_k": "1"}, "adversary_k"),
+    ({"case": True}, "case"),
+    ({"impostor": "no"}, "impostor"),
+    ({"weights": {"gait": float("inf")}}, "weights"),
+]
+
+
+@pytest.mark.parametrize("overrides,path", MISTYPED,
+                         ids=[json.dumps(o) for o, _ in MISTYPED])
+def test_mistyped_config_field_is_a_config_error(overrides, path, tmp_path,
+                                                 capsys):
+    from faskit.cli import main
+
+    with pytest.raises(ConfigError) as err:
+        small(**overrides).validate()
+    assert str(err.value).startswith(path + ":"), err.value
+    obj = {**small().to_json(), **overrides}
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_json(obj)
+    assert str(err.value).startswith(path + ":"), err.value
+
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(obj))
+    assert main(["simulate", "--config", str(config)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "config"
+    assert report["error"].startswith(path + ":")
+
+
 def test_config_json_round_trip_rejects_unknown_fields():
     config = small()
     again = ScenarioConfig.from_json(config.to_json())
@@ -136,6 +177,22 @@ def test_eavesdropper_sees_no_plaintext_scores_in_encrypted_mode():
     plain = run_scenario(small(case=2, adversary="eavesdrop",
                                score_mode="cloud-plain", trials=20))
     assert plain.eavesdrop["plaintext_score_values"] > 0
+
+
+def test_eavesdrop_counts_add_up_over_trials():
+    # Trial i of a seed-s scenario draws what the one-trial scenario with
+    # seed s ^ i draws, so the counts must be the sum of those runs.
+    config = small(case=2, adversary="eavesdrop", score_mode="cloud-plain",
+                   trials=4)
+    whole = run_scenario(config).eavesdrop
+    parts = [run_scenario(small(case=2, adversary="eavesdrop",
+                                score_mode="cloud-plain", trials=1,
+                                seed=config.seed ^ i)).eavesdrop
+             for i in range(config.trials)]
+    for key in ("external_messages_scanned", "plaintext_score_values"):
+        assert whole[key] == sum(part[key] for part in parts) > 0
+    assert whole["message_types_with_plaintext_scores"] == [
+        "ScoreRequest", "ScoreResponse"]
 
 
 def test_absent_devices_shrink_the_quorum():
