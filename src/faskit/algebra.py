@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, lru_cache
 
 from .errors import NonInvertibleError, ParameterError
 
@@ -57,25 +57,17 @@ def is_probable_prime(n: int) -> bool:
 
 
 def mod_inv(a: int, m: int) -> int:
-    """Inverse of a modulo m via extended Euclid.
+    """Inverse of a modulo m, by builtin pow.
 
     Works for any modulus, not just primes; raises NonInvertibleError
     when gcd(a, m) != 1 (in particular when a == 0 mod m).
     """
     if m < 2:
         raise ParameterError(f"modulus must be >= 2, got {m}")
-    a = a % m
-    if a == 0:
-        raise NonInvertibleError(f"0 has no inverse mod {m}")
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NonInvertibleError(f"{a} is not invertible mod {m} (gcd={r0})")
-    return s0 % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NonInvertibleError(f"{a} is not invertible mod {m}") from None
 
 
 class FixedBaseComb(dict):
@@ -126,6 +118,16 @@ class FixedBaseComb(dict):
         return x
 
 
+@lru_cache(maxsize=64)
+def comb_table(base: int, p: int, q: int,
+               on_demand: bool, /) -> FixedBaseComb:
+    """The one FixedBaseComb for base mod p, keyed by value: equal bases
+    in groups built separately share it. At most 64 tables live, the
+    least recently used dropped first; a base used again after its
+    table was dropped builds it anew."""
+    return FixedBaseComb(base, p, q, on_demand)
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The scalar field Z_q for a prime q >= 3."""
@@ -144,8 +146,8 @@ class GroupParams:
     """A Schnorr group: the order-q subgroup of Z_p* generated by g.
 
     Exponent arithmetic lives in PrimeField(q); q divides p - 1. Every
-    g^x goes through power(), on a FixedBaseComb for g that each instance
-    builds whole, once, on first use.
+    g^x goes through power() and every power of a public key through
+    public_power(), each on its base's comb_table.
     """
 
     p: int
@@ -178,15 +180,18 @@ class GroupParams:
         """Membership test for the order-q subgroup."""
         return 0 < x < self.p and pow(x, self.q, self.p) == 1
 
-    @cached_property
-    def _comb(self) -> FixedBaseComb:
-        # Filled whole: its exponents (nonces, shares, the dealer's
-        # secret) are secret.
-        return FixedBaseComb(self.g, self.p, self.q)
-
     def power(self, exponent: int) -> GroupElement:
-        """g^exponent mod p, the exponent taken mod q."""
-        return self._comb.power(exponent % self.q)
+        """g^exponent mod p, the exponent taken mod q. g's table is
+        filled whole: its exponents (nonces, shares, the dealer's secret)
+        are secret."""
+        return comb_table(self.g, self.p, self.q, False).power(
+            exponent % self.q)
+
+    def public_power(self, base: int, exponent: int) -> int:
+        """base^exponent mod p, equal to pow(base, exponent, p), for a
+        public exponent. base's table is filled on demand, so the order
+        in which its entries are made shows only the public exponents."""
+        return comb_table(base, self.p, self.q, True).power(exponent)
 
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")
@@ -260,18 +265,14 @@ _PARAMETER_SETS = {
     "prod2048": (_PROD_P, _PROD_Q, _PROD_G),
 }
 
-_group_cache: dict = {}
-
-
+@cache
 def get_group(name: str) -> GroupParams:
     """Look up a named parameter set (validated once, then cached)."""
     if name not in _PARAMETER_SETS:
         raise ParameterError(
             f"unknown group {name!r}; available: {sorted(_PARAMETER_SETS)}")
-    if name not in _group_cache:
-        p, q, g = _PARAMETER_SETS[name]
-        _group_cache[name] = GroupParams(p=p, q=q, g=g)
-    return _group_cache[name]
+    p, q, g = _PARAMETER_SETS[name]
+    return GroupParams(p=p, q=q, g=g)
 
 
 def group_names() -> list:

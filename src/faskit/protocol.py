@@ -295,8 +295,8 @@ class FaspService(_Transcript):
                 total = sum(weights.values())
                 value = 0.0
                 if total > 0:
-                    value = sum(w * scores[m]
-                                for m, w in weights.items()) / total / 100.0
+                    value = (sum(w * scores[m] for m, w in weights.items())
+                             / total / SCORE_SCALE)
                 payload["value"] = value
         elif mode == "encrypted":
             pub = self._paillier_pubs.get(user_id)

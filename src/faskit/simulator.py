@@ -106,7 +106,8 @@ class ScenarioConfig:
             yield f"weights.{name}", lambda name=name, weight=weight: (
                 Modality(name), _typed(weight, int, float))
         yield "weights", lambda: FusionPolicy(weights=self.weights)
-        yield "theta", self.policy
+        yield "theta", lambda: (_typed(self.theta, int, float),
+                                self.policy())
         yield "score_mode", lambda: PersonalDevice(
             user_id="", policy=self.policy(), score_mode=self.score_mode)
         yield "staleness_max", lambda: _require(
@@ -124,7 +125,8 @@ class ScenarioConfig:
         yield "pd_holds_share", lambda: _typed(self.pd_holds_share, bool)
         yield "present_devices", lambda: _require(
             self.present_devices is None
-            or set(self.present_devices) <= set(self._device_indices()),
+            or {_typed(i, int) for i in self.present_devices}
+            <= set(self._device_indices()),
             "names a device that is not enrolled")
 
     def _device_indices(self) -> list:

@@ -22,10 +22,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
-from .algebra import (FixedBaseComb, GroupElement, GroupParams, PrimeField,
-                      Scalar, lagrange_coefficient)
+from .algebra import (GroupElement, GroupParams, PrimeField, Scalar,
+                      lagrange_coefficient)
 from .errors import (InsufficientSharesError, InvalidPartialError,
                      ParameterError, SessionError)
 from .sharing import Share, ThresholdParams, share_secret
@@ -41,19 +40,13 @@ _SESSION_WINDOW = 1024
 class GroupPublicKey:
     """The single public key y = g^x the combined signature verifies under.
 
-    verify computes y^c on a comb for y that the key builds on first use
-    and fills on demand: c is public, so the order in which its entries
-    are made reveals nothing secret.
+    verify computes y^c with group.public_power: c is public, so y's
+    table may be filled on demand.
     """
 
     y: GroupElement
     group: GroupParams
     params: ThresholdParams
-
-    @cached_property
-    def _comb(self) -> FixedBaseComb:
-        return FixedBaseComb(self.y, self.group.p, self.group.q,
-                             on_demand=True)
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ def verify(pubkey: GroupPublicKey, message: bytes, sig: Signature,
         return False
     c = challenge_fn(sig.R, pubkey.y, message, group)
     lhs = group.power(sig.s)
-    rhs = sig.R * pubkey._comb.power(c) % group.p
+    rhs = sig.R * group.public_power(pubkey.y, c) % group.p
     return lhs == rhs
 
 

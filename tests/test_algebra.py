@@ -160,6 +160,7 @@ def test_power_matches_builtin_pow(name, multiple, offset, base, on_demand):
     # then on the warm one.
     base = 1 + base % (p - 1)
     e = exponent % q
+    assert group.public_power(base, e) == pow(base, e, p)
     comb = FixedBaseComb(base, p, q, on_demand=on_demand)
     assert comb.power(e) == pow(base, e, p)
     assert comb.power(q - 1 - e) == pow(base, q - 1 - e, p)

@@ -61,6 +61,9 @@ MISTYPED = [
     ({"case": True}, "case"),
     ({"impostor": "no"}, "impostor"),
     ({"weights": {"gait": float("inf")}}, "weights"),
+    ({"theta": True}, "theta"),
+    ({"present_devices": [True]}, "present_devices"),
+    ({"present_devices": [2.0]}, "present_devices"),
 ]
 
 

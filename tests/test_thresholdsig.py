@@ -1,9 +1,11 @@
+import gc
 import inspect
 import itertools
 import random
 
 import pytest
 
+from faskit.algebra import FixedBaseComb, GroupParams, comb_table, get_group
 from faskit.errors import (InsufficientSharesError, InvalidPartialError,
                            ParameterError, SessionError)
 from faskit.sharing import ThresholdParams
@@ -216,22 +218,51 @@ def test_verify_rejects_malformed_signatures(sim_group):
 
 
 def test_prod2048_verify_on_cold_and_warm_key_tables():
-    # verify computes y^c on the key's comb, whose entries are made on
-    # demand.
-    from faskit.algebra import get_group
+    # verify computes y^c on y's comb, whose entries are made on demand.
     group = get_group("prod2048")
     rng = random.Random(23)
     pubkey, shares, _ = keygen_dealer(ThresholdParams(t=1, n=3), group, rng)
     coms, partials = run_signing(pubkey, shares[:2], group, b"m", rng)
     sig = combine(coms, partials, pubkey, b"m")
     bumped = Signature(R=sig.R, s=(sig.s + 1) % group.q)
-    # Each order runs on a fresh key: the first check on a cold table,
-    # the second on the table the first one filled.
+    # Each order starts from an empty cache: the first check on a cold
+    # table, the second on the table the first one filled.
     for first, second in ((sig, bumped), (bumped, sig)):
-        key = GroupPublicKey(y=pubkey.y, group=group, params=pubkey.params)
-        assert "_comb" not in vars(key)
-        assert verify(key, b"m", first) is (first is sig)
-        assert verify(key, b"m", second) is (second is sig)
+        comb_table.cache_clear()
+        assert verify(pubkey, b"m", first) is (first is sig)
+        assert verify(pubkey, b"m", second) is (second is sig)
+
+
+def sim_signature(group, rng):
+    """A fresh t=0, n=1 key and its signature on b"m"."""
+    pubkey, shares, _ = keygen_dealer(ThresholdParams(t=0, n=1), group, rng)
+    coms, partials = run_signing(pubkey, shares, group, b"m", rng)
+    return pubkey, combine(coms, partials, pubkey, b"m")
+
+
+def test_equal_keys_built_separately_share_one_table(sim_group):
+    pubkey, sig = sim_signature(sim_group, random.Random(24))
+    twin = GroupPublicKey(
+        y=pubkey.y, params=pubkey.params,
+        group=GroupParams(p=sim_group.p, q=sim_group.q, g=sim_group.g))
+    comb_table.cache_clear()
+    assert verify(pubkey, b"m", sig)
+    assert comb_table.cache_info().misses == 2      # g's table and y's
+    assert verify(twin, b"m", sig)
+    assert comb_table.cache_info().misses == 2
+
+
+def test_verifying_under_many_kept_keys_keeps_at_most_64_tables(sim_group):
+    # A service provider keeps one key per user and verifies under each;
+    # the tables behind those verifications stay bounded.
+    rng = random.Random(25)
+    keys = []
+    for _ in range(74):
+        pubkey, sig = sim_signature(sim_group, rng)
+        assert verify(pubkey, b"m", sig)
+        keys.append(pubkey)
+    gc.collect()
+    assert sum(isinstance(o, FixedBaseComb) for o in gc.get_objects()) <= 64
 
 
 def test_verify_is_signer_set_blind():
