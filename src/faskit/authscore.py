@@ -76,17 +76,6 @@ class FusionPolicy:
             items = [(m, w) for m, w in items if m in set(modalities)]
         return {m: round(w * WEIGHT_SCALE) for m, w in items}
 
-    def to_json(self) -> dict:
-        return {"weights": {m.value: w for m, w in self.weights.items()},
-                "theta": self.theta, "staleness_max": self.staleness_max}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FusionPolicy":
-        return cls(weights={Modality(k): float(v)
-                            for k, v in obj["weights"].items()},
-                   theta=float(obj.get("theta", 0.7)),
-                   staleness_max=int(obj.get("staleness_max", 10)))
-
 
 @dataclass(frozen=True)
 class AuthScore:
@@ -211,7 +200,8 @@ def phe_keygen(bits: int, rng: random.Random) -> PheKeypair:
     half = bits // 2
     p = _gen_prime(half, rng)
     q = _gen_prime(bits - half, rng)
-    while q == p:
+    # With an odd `bits`, q may be 2p + 1, and then p divides q - 1.
+    while q == p or math.gcd(p * q, (p - 1) * (q - 1)) != 1:
         q = _gen_prime(bits - half, rng)
     return keypair_from_primes(p, q)
 

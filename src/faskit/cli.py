@@ -105,6 +105,12 @@ def _build_policy(weights, theta) -> FusionPolicy:
                         theta=theta)
 
 
+def _weighted_modalities(policy: FusionPolicy) -> list:
+    """The modalities the policy gives a positive weight, in CLI order;
+    a zero-weight modality never counts toward the score."""
+    return [m for m in MODALITY_ORDER if policy.weights.get(m, 0) > 0]
+
+
 def _setup_user(args, policy: FusionPolicy):
     """Enrol a fresh user per the CLI flags; returns the live entities."""
     group = get_group(args.group)
@@ -113,7 +119,7 @@ def _setup_user(args, policy: FusionPolicy):
     code = CodeParams(m=group.q.bit_length(), r=args.code_r) \
         if case is Case.CASE3 else None
     strategy = CaseStrategy(case=case, code=code)
-    modalities = [m for m in MODALITY_ORDER if m in policy.weights]
+    modalities = _weighted_modalities(policy)
     pd = PersonalDevice(user_id="user1", policy=policy)
     dds = [DumbDevice(index=i, modalities=[modalities[(i - 1)
                                                       % len(modalities)]])
@@ -152,7 +158,7 @@ def _cmd_auth(args) -> int:
     policy = _build_policy(args.weights, args.theta)
     group, rng, pd, dds, sp, _, templates = _setup_user(args, policy)
     scores = args.scores
-    modalities = [m for m in MODALITY_ORDER if m in policy.weights]
+    modalities = _weighted_modalities(policy)
     for dd in dds:
         modality = dd.modalities[0]
         dd.current_scores = {modality: scores[modalities.index(modality)

@@ -159,12 +159,10 @@ class ServiceProvider(_Transcript):
     "nonce-unknown", even one that was already used.
     """
 
-    def __init__(self, sp_id: str, rng: random.Random,
-                 challenge_fn=compute_challenge_scalar):
+    def __init__(self, sp_id: str, rng: random.Random):
         super().__init__()
         self.sp_id = sp_id
         self._rng = rng
-        self._challenge_fn = challenge_fn
         self._users: dict = {}
         self._nonces: OrderedDict = OrderedDict()   # in issue order
         self._session_counter = 0
@@ -218,8 +216,7 @@ class ServiceProvider(_Transcript):
         except (KeyError, TypeError, ValueError):
             return self._result(response, False, "signature")
         message = signing_message_bytes(self.sp_id, bytes.fromhex(nonce_hex))
-        if not verify_signature(pubkey, message, sig,
-                                challenge_fn=self._challenge_fn):
+        if not verify_signature(pubkey, message, sig):
             return self._result(response, False, "signature")
         entry["used"] = True
         return self._result(response, True, "ok")
@@ -358,9 +355,10 @@ def _request_values(payload: dict, key: str, parse) -> dict | None:
 class DumbDevice(_Transcript):
     """Sensor-bearing wearable. Talks only to the PD.
 
-    In CASE2 it persistently stores its key share. In CASE3 it stores
-    nothing between sessions: each session it regenerates the share from
-    helper data plus its current template, and end_session erases it.
+    A device has one signer slot. In CASE2 it persistently stores its key
+    share there. In CASE3 it stores nothing between sessions: each session
+    it regenerates the share from helper data plus its current template,
+    and end_session erases it.
     """
 
     def __init__(self, index: int, modalities):
@@ -371,8 +369,10 @@ class DumbDevice(_Transcript):
         # What the sensors would measure right now; set by the caller.
         self.current_scores: dict = {}
         self.current_template: str | None = None
-        self._persistent_signer: DeviceSigner | None = None
-        self._transient: tuple | None = None  # (session_id, DeviceSigner)
+        self._signer: DeviceSigner | None = None
+        # The session a regenerated CASE3 share serves; None when the
+        # device stores its share.
+        self._session: str | None = None
 
     def read_sensor(self, now: int):
         return [ModalityReading(device_id=self.device_id, modality=m,
@@ -380,7 +380,7 @@ class DumbDevice(_Transcript):
                 for m in self.modalities if m in self.current_scores]
 
     def install_key_share(self, share: Share, group: GroupParams) -> None:
-        self._persistent_signer = DeviceSigner(share, group)
+        self._signer, self._session = DeviceSigner(share, group), None
 
     def receive_helper(self, helper: HelperData,
                        commitments: FeldmanCommitments,
@@ -401,39 +401,23 @@ class DumbDevice(_Transcript):
         share = Share(index=self.index, value=value)
         if not verify_share(share, commitments, group):
             return False
-        self._transient = (session_id, DeviceSigner(share, group))
+        self._signer, self._session = DeviceSigner(share, group), session_id
         return True
-
-    def _signer_for(self, session_id: str) -> DeviceSigner:
-        if self._persistent_signer is not None:
-            return self._persistent_signer
-        if self._transient is not None and self._transient[0] == session_id:
-            return self._transient[1]
-        raise SessionError(
-            f"{self.device_id} holds no signing material for {session_id!r}")
-
-    def sign_round1(self, session_id: str,
-                    rng: random.Random) -> NonceCommitment:
-        return self._signer_for(session_id).round1(session_id, rng)
-
-    def sign_round2(self, session_id: str, challenge: int,
-                    signer_set) -> PartialSignature:
-        return self._signer_for(session_id).round2(session_id, challenge,
-                                                   signer_set)
 
     def end_session(self, session_id: str) -> None:
         """Erase all transient signing material for this session."""
-        if self._persistent_signer is not None:
-            self._persistent_signer.abort_session(session_id)
-        if self._transient is not None and self._transient[0] == session_id:
-            self._transient = None
+        if self._session is None:
+            if self._signer is not None:
+                self._signer.abort_session(session_id)
+        elif self._session == session_id:
+            self._signer = self._session = None
 
     def persistent_state(self) -> dict:
         """Everything this device keeps between sessions."""
         state = {"device_id": self.device_id, "index": self.index,
                  "modalities": [m.value for m in self.modalities]}
-        if self._persistent_signer is not None:
-            state["key_share_value"] = self._persistent_signer._share.value
+        if self._signer is not None and self._session is None:
+            state["key_share_value"] = self._signer._share.value
         return state
 
 
@@ -546,13 +530,12 @@ def _denied(pd: PersonalDevice, session: str, reason: str) -> Message:
 class _Flow:
     """One authentication attempt driven by the PD."""
 
-    def __init__(self, pd, dds, fasp, rng, transit_hook, challenge_fn):
+    def __init__(self, pd, dds, fasp, rng, transit_hook):
         self.pd = pd
         self.dds = sorted(dds, key=lambda d: d.index)
         self.fasp = fasp
         self.rng = rng
         self.hook = transit_hook or (lambda m: m)
-        self.challenge_fn = challenge_fn
         self.messages: list = []
         self.readings: list = []   # the readings that parsed
 
@@ -571,24 +554,22 @@ class _Flow:
 def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
                           now: int, rng: random.Random,
                           fasp: FaspService | None = None,
-                          transit_hook=None,
-                          challenge_fn=compute_challenge_scalar):
+                          transit_hook=None):
     """Run the PD-orchestrated part of the flow.
 
     Returns the ordered list of messages it produced, ending with either
     an AuthResponse for the SP or a locally emitted denied AuthResult.
     If the score gate fails, no signing message is ever sent.
     """
-    flow = _Flow(pd, dds, fasp, rng, transit_hook, challenge_fn)
+    flow = _Flow(pd, dds, fasp, rng, transit_hook)
     pd.record(challenge)
     session = challenge.session_id
     sp_id = challenge.payload["sp_id"]
     nonce = bytes.fromhex(challenge.payload["nonce"])
-    live = [dd for dd in flow.dds]
 
     try:
         # Step 3a: collect sensor readings from every live device.
-        for dd in live:
+        for dd in flow.dds:
             for reading in dd.read_sensor(now):
                 msg = Message(type=MessageType.SENSOR_READING,
                               sender=dd.device_id, receiver=pd.entity_id,
@@ -607,7 +588,7 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         # Step 4: the signing ceremony of the active case.
         message_bytes = signing_message_bytes(sp_id, nonce)
         try:
-            signature = _sign_ceremony(flow, session, message_bytes, live)
+            signature = _sign_ceremony(flow, session, message_bytes)
         except InsufficientSharesError:
             return flow.messages + [_denied(pd, session,
                                             "insufficient-devices")]
@@ -624,7 +605,7 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         flow.send(response, pd, None)
         return flow.messages
     finally:
-        for dd in live:
+        for dd in flow.dds:
             dd.end_session(session)
         if pd._own_signer is not None:
             pd._own_signer.abort_session(session)
@@ -720,114 +701,100 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
     return normalize_fused(plaintext, weights)
 
 
-def _answer_value(answer: Message, index: int, key: str, bound: int) -> int:
-    """The hex field `key` of signer `index`'s answer. An answer that does
-    not parse, names another signer or lies outside [0, bound) is a bad
-    partial."""
+def _regenerate(flow: _Flow, session: str, dd: DumbDevice) -> bool:
+    """CASE3: deliver dd's helper data; True when the share it regenerates
+    passes the commitment check."""
+    pd = flow.pd
+    helper = pd.helper_store.get(dd.index)
+    if helper is None:
+        return False
+    delivery = Message(type=MessageType.HELPER_DELIVERY, sender=pd.entity_id,
+                       receiver=dd.device_id, session_id=session,
+                       payload={"helper": helper.to_json(),
+                                "commitments": pd.commitments.to_json()})
+    payload = flow.send(delivery, pd, dd).payload
+    try:
+        return dd.receive_helper(
+            HelperData.from_json(payload["helper"]),
+            FeldmanCommitments.from_json(payload["commitments"]),
+            pd.pubkey.group, session)
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError):
+        # A payload that does not parse, or a helper that does not fit
+        # the device's template: the device sits out.
+        return False
+
+
+def _exchange(flow: _Flow, session: str, signer_row, kind: MessageType,
+              ask: dict, key: str, bound: int, sign) -> int:
+    """One signer's round-`kind` value: `sign(signer)` computes it.
+
+    The PD's own share (no device) signs in place and sends no message.
+    A device is asked, signs, and answers; its delivered answer is hostile
+    input, and one that does not parse, names another signer or lies
+    outside [0, bound) is a bad partial.
+    """
+    index, dd, signer = signer_row
+    if dd is None:
+        return sign(signer)
+    pd = flow.pd
+    flow.send(Message(type=kind, sender=pd.entity_id, receiver=dd.device_id,
+                      session_id=session, payload=ask), pd, dd)
+    answer = flow.send(Message(type=kind, sender=dd.device_id,
+                               receiver=pd.entity_id, session_id=session,
+                               payload={"index": index,
+                                        key: format(sign(signer), "x")}),
+                       dd, pd)
     try:
         sender, value = answer.payload["index"], int(answer.payload[key], 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPartialError(
-            f"signer {index}: malformed {answer.type.value} answer") from exc
+            f"signer {index}: malformed {kind.value} answer") from exc
     if sender != index or not 0 <= value < bound:
-        raise InvalidPartialError(
-            f"signer {index}: bad {answer.type.value} answer")
+        raise InvalidPartialError(f"signer {index}: bad {kind.value} answer")
     return value
 
 
-def _sign_ceremony(flow: _Flow, session: str, message_bytes: bytes,
-                   live) -> Signature:
+def _sign_ceremony(flow: _Flow, session: str,
+                   message_bytes: bytes) -> Signature:
     pd = flow.pd
     group = pd.pubkey.group
     quorum = pd.pubkey.params.t + 1
 
-    # The PD's own share joins if it has one. Devices join if they store a
-    # share (CASE2; none do in CASE1) or, in CASE3, if the share they
-    # regenerate from delivered helper data passes the commitment check.
-    own = pd._own_signer
-    ready = []
-    if pd.strategy.case is not Case.CASE3:
-        ready = [dd for dd in live if dd._persistent_signer is not None]
-    else:
-        for dd in live:
-            helper = pd.helper_store.get(dd.index)
-            if helper is None:
-                continue
-            delivery = Message(type=MessageType.HELPER_DELIVERY,
-                               sender=pd.entity_id, receiver=dd.device_id,
-                               session_id=session,
-                               payload={"helper": helper.to_json(),
-                                        "commitments":
-                                            pd.commitments.to_json()})
-            payload = flow.send(delivery, pd, dd).payload
-            try:
-                ok = dd.receive_helper(
-                    HelperData.from_json(payload["helper"]),
-                    FeldmanCommitments.from_json(payload["commitments"]),
-                    group, session)
-            except (KeyError, TypeError, ValueError, OverflowError,
-                    ParameterError):
-                # A payload that does not parse, or a helper that does not
-                # fit the device's template: the device sits out.
-                ok = False
-            if ok:
-                ready.append(dd)
-
-    participants: list = []   # (index, round1 target)
-    if own is not None:
-        participants.append((own.index, None))
-    participants.extend((dd.index, dd) for dd in ready)
-    participants.sort(key=lambda pair: pair[0])
-    if len(participants) < quorum:
+    # Signers, as (index, device or None, DeviceSigner): the PD's own
+    # share if it has one, and each device that stores a share (CASE2;
+    # none do in CASE1) or, in CASE3, whose share regenerated from
+    # delivered helper data passes the commitment check.
+    signers = []
+    if pd._own_signer is not None:
+        signers.append((pd._own_signer.index, None, pd._own_signer))
+    case3 = pd.strategy.case is Case.CASE3
+    for dd in flow.dds:
+        ready = (_regenerate(flow, session, dd) if case3
+                 else dd._signer is not None)
+        if ready:
+            signers.append((dd.index, dd, dd._signer))
+    signers.sort(key=lambda row: row[0])
+    if len(signers) < quorum:
         raise InsufficientSharesError(
-            f"{len(participants)} signer(s) available, need {quorum}")
-    chosen = participants[:quorum]
-    signer_set = [index for index, _ in chosen]
+            f"{len(signers)} signer(s) available, need {quorum}")
+    chosen = signers[:quorum]
+    signer_set = [index for index, _, _ in chosen]
 
-    commitments = []
-    for index, dd in chosen:
-        if dd is None:
-            commitments.append(own.round1(session, flow.rng))
-            continue
-        ask = Message(type=MessageType.SIGN_ROUND1, sender=pd.entity_id,
-                      receiver=dd.device_id, session_id=session,
-                      payload={"signer": index})
-        flow.send(ask, pd, dd)
-        com = dd.sign_round1(session, flow.rng)
-        answer = Message(type=MessageType.SIGN_ROUND1, sender=dd.device_id,
-                         receiver=pd.entity_id, session_id=session,
-                         payload={"index": com.index,
-                                  "R": format(com.commitment, "x")})
-        delivered = flow.send(answer, dd, pd)
-        commitments.append(NonceCommitment(
-            index=index, commitment=_answer_value(delivered, index, "R",
-                                                  group.p),
-            session_id=session))
-
+    commitments = [NonceCommitment(
+        index=row[0], session_id=session, commitment=_exchange(
+            flow, session, row, MessageType.SIGN_ROUND1, {"signer": row[0]},
+            "R", group.p,
+            lambda signer: signer.round1(session, flow.rng).commitment))
+        for row in chosen]
     R = 1
     for com in commitments:
         R = R * com.commitment % group.p
-    c = flow.challenge_fn(R, pd.pubkey.y, message_bytes, group)
-
-    partials = []
-    for index, dd in chosen:
-        if dd is None:
-            partials.append(own.round2(session, c, signer_set))
-            continue
-        ask = Message(type=MessageType.SIGN_ROUND2, sender=pd.entity_id,
-                      receiver=dd.device_id, session_id=session,
-                      payload={"challenge": format(c, "x"),
-                               "signer_set": signer_set})
-        flow.send(ask, pd, dd)
-        part = dd.sign_round2(session, c, signer_set)
-        answer = Message(type=MessageType.SIGN_ROUND2, sender=dd.device_id,
-                         receiver=pd.entity_id, session_id=session,
-                         payload={"index": part.index,
-                                  "s": format(part.s, "x")})
-        delivered = flow.send(answer, dd, pd)
-        partials.append(PartialSignature(
-            index=index, s=_answer_value(delivered, index, "s", group.q),
-            session_id=session))
-
-    return combine(commitments, partials, pd.pubkey, message_bytes,
-                   challenge_fn=flow.challenge_fn)
+    c = compute_challenge_scalar(R, pd.pubkey.y, message_bytes, group)
+    partials = [PartialSignature(
+        index=row[0], session_id=session, s=_exchange(
+            flow, session, row, MessageType.SIGN_ROUND2,
+            {"challenge": format(c, "x"), "signer_set": signer_set},
+            "s", group.q,
+            lambda signer: signer.round2(session, c, signer_set).s))
+        for row in chosen]
+    return combine(commitments, partials, pd.pubkey, message_bytes)

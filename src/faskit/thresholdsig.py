@@ -14,7 +14,9 @@ The signer model is honest-but-curious: there are no binding factors
 against adversarially coordinated concurrent sessions, so a device must
 never run two sessions with the same session id. DeviceSigner enforces
 this over its last _SESSION_WINDOW session ids and erases each nonce when
-it is consumed.
+it is consumed or when its session id leaves that window. Each device has
+one signer slot; the gateway's own share, if it has one, is one more
+DeviceSigner.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ class DeviceSigner:
     Single-owner by contract. Session ids are single-use within the
     window of the last _SESSION_WINDOW ids this signer saw: round1 refuses
     any of them, and round2 consumes (erases) the nonce, so no interface
-    exposes it afterwards. Older ids are forgotten, oldest first, so a
-    long-lived signer keeps bounded memory.
+    exposes it afterwards. Older ids are forgotten, oldest first, together
+    with any nonce still pending under them, so a long-lived signer keeps
+    at most _SESSION_WINDOW ids and nonces.
     """
 
     def __init__(self, key_share: KeyShare, group: GroupParams):
@@ -205,7 +208,9 @@ class DeviceSigner:
                 f"device {self.index} already used session {session_id!r}")
         self._used_sessions[session_id] = None
         if len(self._used_sessions) > _SESSION_WINDOW:
-            del self._used_sessions[next(iter(self._used_sessions))]
+            oldest = next(iter(self._used_sessions))
+            del self._used_sessions[oldest]
+            self._nonces.pop(oldest, None)
         k, commitment = sign_round1(self._share, self._group, session_id, rng)
         self._nonces[session_id] = k
         return commitment

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -107,11 +108,6 @@ def test_policy_refuses_a_weight_the_cloud_path_cannot_scale(weight):
         FusionPolicy(weights={G: weight, L: 0.5})
 
 
-def test_policy_json_round_trip():
-    policy = policy_532(theta=0.6)
-    assert FusionPolicy.from_json(policy.to_json()) == policy
-
-
 def test_quantization_rounds_half_up():
     assert quantize_score(0.0) == 0
     assert quantize_score(1.0) == 100
@@ -167,6 +163,17 @@ def test_paillier_keygen_and_bounds():
         phe_encrypt(kp.public.n, kp.public, rng)
     with pytest.raises(ParameterError):
         phe_encrypt(1, keypair_from_primes(3, 5).public, None, rho=3)
+
+
+def test_paillier_keygen_with_odd_bits_skips_q_equal_to_2p_plus_1():
+    # At 17 bits, seed 85 first draws p = 179 and q = 359 = 2p + 1, for
+    # which gcd(n, (p-1)(q-1)) = p; keygen must draw another q.
+    rng = random.Random(85)
+    kp = phe_keygen(17, rng)
+    assert (kp.p, kp.q) != (179, 359)
+    assert math.gcd(kp.public.n, (kp.p - 1) * (kp.q - 1)) == 1
+    for m in (0, 1, kp.public.n - 1):
+        assert phe_decrypt(phe_encrypt(m, kp.public, rng), kp) == m
 
 
 def test_fuse_encrypted_known_answers():

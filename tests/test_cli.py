@@ -86,6 +86,15 @@ def test_auth_grants_by_default(capsys):
         assert parse(out)["granted"] is True
 
 
+def test_auth_ignores_zero_weight_modalities(capsys):
+    # Only the custom modality counts; every device must carry it.
+    code, out, _ = run_cli(capsys, [
+        "auth", "--case", "2", "--t", "1", "--n", "3",
+        "--weights", "0,0,0,1", "--seed", "1"])
+    assert code == 0
+    assert parse(out)["granted"] is True
+
+
 def test_simulate_is_byte_deterministic(capsys, tmp_path):
     config = write_config(tmp_path)
     outputs = []

@@ -174,12 +174,12 @@ def test_case2_flow_grants(sim_group):
 
 
 def test_case2_flow_reproduces_worked_signature(kat_group):
-    # End-to-end check against the fully hand-worked instance: dealer
-    # draws x=7 and coefficient 4, devices 2 and 3 are live and draw
-    # nonces 3 and 5, the challenge stub returns 2; the response must
-    # carry exactly the signature (R=3, s=0) and the SP must grant.
-    from conftest import stub_challenge
-    stub = stub_challenge(2)
+    # End-to-end check against the hand-worked instance: dealer draws
+    # x=7 and coefficient 4, devices 2 and 3 are live and draw nonces 3
+    # and 5, so R = g^8 = 3 and s = 8 + c*x mod 11 for the hashed
+    # challenge c; the response must carry exactly that signature and the
+    # SP must grant.
+    from faskit.thresholdsig import compute_challenge_scalar
     policy = make_policy()
     pd = PersonalDevice(user_id="user1", policy=policy)
     dds = [DumbDevice(index=i, modalities=[MODS[(i - 1) % 3]])
@@ -187,18 +187,21 @@ def test_case2_flow_reproduces_worked_signature(kat_group):
     record = enroll(user_id="user1", strategy=CaseStrategy(case=Case.CASE2),
                     params=ThresholdParams(t=1, n=3), group=kat_group,
                     pd=pd, dds=dds, rng=ScriptedRng([7, 4]))
-    sp = ServiceProvider(sp_id="sp1", rng=random.Random(1),
-                         challenge_fn=stub)
+    sp = ServiceProvider(sp_id="sp1", rng=random.Random(1))
     sp.register_user(record)
     for dd in dds:
         dd.current_scores = {dd.modalities[0]: 0.9}
     req, challenge = request_challenge("user1", sp, now=0)
     flow = pd_run_authentication(pd, dds[1:], challenge, now=0,
-                                 rng=ScriptedRng([3, 5]),
-                                 challenge_fn=stub)
+                                 rng=ScriptedRng([3, 5]))
     response = flow[-1]
     assert response.type is MessageType.AUTH_RESPONSE
-    assert response.payload["signature"] == {"R": "3", "s": "0"}
+    message = signing_message_bytes(
+        "sp1", bytes.fromhex(challenge.payload["nonce"]))
+    c = compute_challenge_scalar(3, record.pubkey.y, message, kat_group)
+    assert response.payload["signature"] == {"R": "3",
+                                             "s": format((8 + 7 * c) % 11,
+                                                         "x")}
     assert sp.verify(response, now=0).payload["granted"] is True
 
 
@@ -264,7 +267,7 @@ def test_case3_flow_grants_and_erases_transient_shares(sim_group):
     assert result.payload["granted"] is True
     assert any(m.type is MessageType.HELPER_DELIVERY for m in messages)
     for dd in dds:
-        assert dd._transient is None
+        assert dd._signer is None
         assert "key_share_value" not in dd.persistent_state()
 
 

@@ -311,3 +311,14 @@ def test_device_signer_forgets_sessions_past_the_window(sim_group):
     with pytest.raises(SessionError):
         signer.round1("sess-1099", rng)   # the newest id is still refused
     signer.round1("sess-0", rng)          # the oldest was forgotten first
+
+
+def test_device_signer_drops_pending_nonces_past_the_window(sim_group):
+    rng = random.Random(20)
+    _, shares, _ = keygen_dealer(ThresholdParams(t=1, n=3), sim_group, rng)
+    signer = DeviceSigner(shares[0], sim_group)
+    for i in range(3000):
+        signer.round1(f"sess-{i}", rng)   # no round 2, no abort
+    assert len(signer._nonces) <= _SESSION_WINDOW
+    assert signer.has_nonce("sess-2999")
+    assert not signer.has_nonce("sess-0")
