@@ -54,7 +54,10 @@ class ModalityReading:
 
 @dataclass(frozen=True)
 class FusionPolicy:
-    """Per-modality weights, gate threshold, and reading freshness window."""
+    """Per-modality weights, gate threshold, and reading freshness window.
+
+    A modality whose weight is 0 does not count: it is dropped from
+    `weights` once the weights are checked."""
 
     weights: dict
     theta: float = 0.7
@@ -68,12 +71,15 @@ class FusionPolicy:
             raise ParameterError("weights must be finite and non-negative")
         if not 0.0 <= self.theta <= 1.0:
             raise ParameterError(f"theta must be in [0,1], got {self.theta}")
+        object.__setattr__(self, "weights", {
+            m: w for m, w in self.weights.items() if w > 0})
 
     def integer_weights(self, modalities=None) -> dict:
         """Weights scaled to integers for the homomorphic path."""
         items = self.weights.items()
         if modalities is not None:
-            items = [(m, w) for m, w in items if m in set(modalities)]
+            wanted = set(modalities)
+            items = [(m, w) for m, w in items if m in wanted]
         return {m: round(w * WEIGHT_SCALE) for m, w in items}
 
 
@@ -98,7 +104,7 @@ def _fresh_by_modality(readings, policy: FusionPolicy, now: int):
     for r in readings:
         if now - r.timestamp > policy.staleness_max:
             continue
-        if policy.weights.get(r.modality, 0) <= 0:
+        if r.modality not in policy.weights:
             continue
         grouped.setdefault(r.modality, []).append(r)
     return grouped

@@ -9,6 +9,7 @@ only ever written to paths given explicitly via --output / --transcript.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import secrets
@@ -105,12 +106,6 @@ def _build_policy(weights, theta) -> FusionPolicy:
                         theta=theta)
 
 
-def _weighted_modalities(policy: FusionPolicy) -> list:
-    """The modalities the policy gives a positive weight, in CLI order;
-    a zero-weight modality never counts toward the score."""
-    return [m for m in MODALITY_ORDER if policy.weights.get(m, 0) > 0]
-
-
 def _setup_user(args, policy: FusionPolicy):
     """Enrol a fresh user per the CLI flags; returns the live entities."""
     group = get_group(args.group)
@@ -119,7 +114,7 @@ def _setup_user(args, policy: FusionPolicy):
     code = CodeParams(m=group.q.bit_length(), r=args.code_r) \
         if case is Case.CASE3 else None
     strategy = CaseStrategy(case=case, code=code)
-    modalities = _weighted_modalities(policy)
+    modalities = list(policy.weights)
     pd = PersonalDevice(user_id="user1", policy=policy)
     dds = [DumbDevice(index=i, modalities=[modalities[(i - 1)
                                                       % len(modalities)]])
@@ -158,7 +153,7 @@ def _cmd_auth(args) -> int:
     policy = _build_policy(args.weights, args.theta)
     group, rng, pd, dds, sp, _, templates = _setup_user(args, policy)
     scores = args.scores
-    modalities = _weighted_modalities(policy)
+    modalities = list(policy.weights)
     for dd in dds:
         modality = dd.modalities[0]
         dd.current_scores = {modality: scores[modalities.index(modality)
@@ -202,7 +197,10 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
-    report = run_scenario(_load_config(args), transcript_path=args.transcript)
+    config = _load_config(args)
+    with open(args.transcript, "w") if args.transcript \
+            else contextlib.nullcontext() as transcript:
+        report = run_scenario(config, transcript)
     _emit(report.to_json(), f"{report.trials} trial(s): {report.grants} "
           f"granted, digest {report.transcript_digest[:16]}...", args.output)
     return 0

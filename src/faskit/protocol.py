@@ -200,7 +200,7 @@ class ServiceProvider(_Transcript):
         """Check the signed response; grant only for a fresh, unused nonce
         and a signature valid under the registered public key."""
         self.record(response)
-        payload = response.payload
+        payload = _fields(response)
         nonce_hex = payload.get("nonce", "")
         entry = self._nonces.get(nonce_hex) if isinstance(nonce_hex, str) \
             else None
@@ -268,19 +268,20 @@ class FaspService(_Transcript):
 
     def handle_score_request(self, msg: Message) -> Message:
         self.record(msg)
-        user_id = msg.payload.get("user_id", "")
+        fields = _fields(msg)
+        user_id = fields.get("user_id", "")
         policy = self._policies.get(user_id) if isinstance(user_id, str) \
             else None
         if policy is None:
             raise PolicyError(f"no fusion policy for user {user_id!r}")
-        mode = msg.payload.get("mode")
+        mode = fields.get("mode")
         # A request whose scores or ciphertexts do not parse, or whose
         # scores lie outside [0, SCORE_SCALE] or ciphertexts outside
         # [0, n^2), gets a reply with no value, which the PD treats as
         # disagreement.
         payload = {"user_id": user_id, "mode": mode}
         if mode == "plain":
-            scores = _request_values(msg.payload, "scores", _plain_score)
+            scores = _request_values(fields, "scores", _plain_score)
             if scores is not None:
                 # A plain-mode service retains the last scores it was
                 # sent; the privacy inspection in the simulator points
@@ -288,7 +289,7 @@ class FaspService(_Transcript):
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
                 weights = {m: w for m, w in policy.weights.items()
-                           if m in scores and w > 0}
+                           if m in scores}
                 total = sum(weights.values())
                 value = 0.0
                 if total > 0:
@@ -300,7 +301,7 @@ class FaspService(_Transcript):
             if pub is None:
                 raise PolicyError(f"no encryption key for user {user_id!r}")
             ciphertexts = _request_values(
-                msg.payload, "ciphertexts",
+                fields, "ciphertexts",
                 lambda v: _ciphertext(v, pub.n_sq))
             weights = policy.integer_weights(ciphertexts or ())
             if sum(weights.values()) > 0:
@@ -318,6 +319,12 @@ class FaspService(_Transcript):
         """Inspection hook: the plaintext scores this service retains,
         the last _TRANSCRIPT_WINDOW of them, oldest first."""
         return {"plaintext_scores": list(self._plain_scores_seen)}
+
+
+def _fields(msg: Message) -> dict:
+    """msg's payload, or no fields when a forger sent something other
+    than a JSON object."""
+    return msg.payload if isinstance(msg.payload, dict) else {}
 
 
 def _plain_score(value) -> int:

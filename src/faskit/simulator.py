@@ -26,8 +26,10 @@ recorded as such in the report metadata rather than simulated.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field, replace
 
 from .algebra import get_group
@@ -39,9 +41,6 @@ from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        message_to_wire, pd_run_authentication,
                        request_challenge)
 from .sharing import ThresholdParams
-
-ADVERSARIES = ("none", "stolen_k", "tamper_partial", "replay", "eavesdrop",
-               "score_inflate")
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
 
@@ -90,7 +89,7 @@ class ScenarioConfig:
             0 <= _typed(self.p_flip, int, float) <= 0.5,
             "must lie in [0, 0.5]")
         yield "adversary", lambda: _require(
-            self.adversary in ADVERSARIES,
+            self.adversary in _ADVERSARIES,
             f"unknown value {self.adversary!r}")
         yield "adversary_k", lambda: _require(
             0 <= _typed(self.adversary_k, int) <= self.n, "need 0 <= k <= n")
@@ -135,8 +134,7 @@ class ScenarioConfig:
 
     def policy(self) -> FusionPolicy:
         return FusionPolicy(
-            weights={Modality(k): float(v) for k, v in self.weights.items()
-                     if v > 0},
+            weights={Modality(k): float(v) for k, v in self.weights.items()},
             theta=self.theta, staleness_max=self.staleness_max)
 
     def to_json(self) -> dict:
@@ -174,21 +172,8 @@ class SimReport:
         return self.grants / self.trials if self.trials else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "trials": self.trials,
-            "grants": self.grants,
-            "denials": self.trials - self.grants,
-            "grant_rate": self.grant_rate,
-            "frr": self.frr,
-            "far": self.far,
-            "reason_counts": dict(sorted(self.reason_counts.items())),
-            "outcomes": self.outcomes,
-            "message_counts": dict(sorted(self.message_counts.items())),
-            "transcript_digest": self.transcript_digest,
-            "eavesdrop": self.eavesdrop,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "denials": self.trials - self.grants,
+                "grant_rate": self.grant_rate}
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True,
@@ -227,6 +212,7 @@ class _Trial:
         self.group = get_group(config.group)
         self.code = CodeParams(m=self.group.q.bit_length(), r=config.code_r)
         self.policy = config.policy()
+        self.adversary = _ADVERSARIES[config.adversary]
         master = random.Random(config.seed ^ trial_index)
 
         mods = sorted(self.policy.weights, key=lambda m: m.value)
@@ -244,8 +230,7 @@ class _Trial:
         # each device measures right now. Adversarial contexts (impostor,
         # thief with stolen devices, score forger) measure the wrong
         # person: independent templates and low scores.
-        rogue_sensors = config.impostor or config.adversary in (
-            "stolen_k", "score_inflate")
+        rogue_sensors = config.impostor or self.adversary.rogue_sensors
         low, high = (0.0, 0.4) if rogue_sensors else (0.8, 1.0)
         for dd in self.dds:
             if config.case == 3:
@@ -302,7 +287,7 @@ def _submit(trial: _Trial, messages: list) -> tuple:
 def _run_normal_trial(trial: _Trial) -> tuple:
     """Genuine/impostor/eavesdrop/tamper/score_inflate flow: full five
     steps, outcome taken from the final AuthResult."""
-    make_hook = _TRANSIT_HOOKS.get(trial.config.adversary)
+    make_hook = trial.adversary.make_hook
     req, challenge = request_challenge("user1", trial.sp, now=0)
     return _submit(trial, [req, challenge, *pd_run_authentication(
         trial.pd, trial.live_devices(), challenge, now=0,
@@ -379,10 +364,22 @@ def _make_score_inflate_hook(trial: _Trial):
     return hook
 
 
-_TRANSIT_HOOKS = {"tamper_partial": _make_tamper_hook,
-                  "score_inflate": _make_score_inflate_hook}
-_TRIAL_RUNS = {"stolen_k": _run_stolen_k_trial,
-               "replay": _run_replay_trial}
+# A row per adversary: its trial runner, its transit-hook maker (trial ->
+# hook, or None), whether its sensors measure someone else, and whether a
+# grant counts toward FAR.
+_Adversary = namedtuple("_Adversary", "run make_hook rogue_sensors counts_far",
+                        defaults=(None, False, True))
+
+_ADVERSARIES = {
+    "none": _Adversary(_run_normal_trial, counts_far=False),
+    "stolen_k": _Adversary(_run_stolen_k_trial, rogue_sensors=True),
+    "tamper_partial": _Adversary(_run_normal_trial, _make_tamper_hook),
+    "replay": _Adversary(_run_replay_trial),
+    "eavesdrop": _Adversary(_run_normal_trial, counts_far=False),
+    "score_inflate": _Adversary(_run_normal_trial, _make_score_inflate_hook,
+                                rogue_sensors=True),
+}
+ADVERSARIES = tuple(_ADVERSARIES)
 
 
 def _scan_plaintext_scores(messages, seen: dict) -> None:
@@ -406,62 +403,54 @@ def _scan_plaintext_scores(messages, seen: dict) -> None:
             seen["message_types_with_plaintext_scores"].add(msg.type.value)
 
 
-def run_scenario(config: ScenarioConfig, transcript_path=None) -> SimReport:
-    """Execute the configured trials; deterministic given the seed."""
+def run_scenario(config: ScenarioConfig, transcript=None) -> SimReport:
+    """Execute the configured trials; deterministic given the seed.
+
+    `transcript`, when given, is a text stream the caller owns and
+    closes; every message goes to it as one wire-format line, in the
+    order the digest hashes them."""
     config.validate()
+    adversary = _ADVERSARIES[config.adversary]
     digest = hashlib.sha256()
-    sink = open(transcript_path, "w") if transcript_path else None
-    outcomes = []
-    reason_counts: dict = {}
-    message_counts: dict = {}
-    grants = 0
+    reasons = []
+    message_counts = Counter()
     eavesdrop = None
     if config.adversary == "eavesdrop":
         eavesdrop = {"external_messages_scanned": 0,
                      "plaintext_score_values": 0,
                      "message_types_with_plaintext_scores": set()}
-    adversarial = config.impostor or config.adversary in (
-        "stolen_k", "tamper_partial", "replay", "score_inflate")
 
-    try:
-        run_trial = _TRIAL_RUNS.get(config.adversary, _run_normal_trial)
-        for trial_index in range(config.trials):
-            messages, result = run_trial(_Trial(config, trial_index))
-            if eavesdrop is not None:
-                _scan_plaintext_scores(messages, eavesdrop)
-
-            granted = bool(result.payload["granted"])
-            reason = result.payload["reason"]
-            grants += granted
-            reason_counts[reason] = reason_counts.get(reason, 0) + 1
-            outcomes.append(reason if not granted else "ok")
-            for msg in messages:
-                name = msg.type.value
-                message_counts[name] = message_counts.get(name, 0) + 1
-                line = message_to_wire(msg)
-                digest.update(line.encode("utf-8"))
-                digest.update(b"\n")
-                if sink is not None:
-                    sink.write(line + "\n")
-    finally:
-        if sink is not None:
-            sink.close()
+    for trial_index in range(config.trials):
+        messages, result = adversary.run(_Trial(config, trial_index))
+        if eavesdrop is not None:
+            _scan_plaintext_scores(messages, eavesdrop)
+        # A grant's reason is "ok"; a denial's never is.
+        reasons.append(result.payload["reason"])
+        for msg in messages:
+            message_counts[msg.type.value] += 1
+            line = message_to_wire(msg) + "\n"
+            digest.update(line.encode("utf-8"))
+            if transcript is not None:
+                transcript.write(line)
 
     if eavesdrop is not None:
         eavesdrop["message_types_with_plaintext_scores"] = sorted(
             eavesdrop["message_types_with_plaintext_scores"])
-    genuine = 0 if adversarial else config.trials
-    frr = (config.trials - grants) / genuine if genuine else None
-    far = grants / config.trials if adversarial and config.trials else None
+    reason_counts = Counter(reasons)
+    grants = reason_counts["ok"]
+    adversarial = config.impostor or adversary.counts_far
+    frr = (config.trials - grants) / config.trials \
+        if config.trials and not adversarial else None
+    far = grants / config.trials if config.trials and adversarial else None
     return SimReport(
         config=config.to_json(),
         trials=config.trials,
         grants=grants,
         frr=frr,
         far=far,
-        reason_counts=reason_counts,
-        outcomes=outcomes,
-        message_counts=message_counts,
+        reason_counts=dict(reason_counts),
+        outcomes=reasons,
+        message_counts=dict(message_counts),
         transcript_digest=digest.hexdigest(),
         eavesdrop=eavesdrop,
         metadata={"out_of_scope": [OUT_OF_SCOPE_NOTE],
@@ -507,15 +496,17 @@ def share_recovery_failure_rate(code: CodeParams, p_flip: float,
 def replay_transcript(expected_digest: str, config: ScenarioConfig) -> bool:
     """Re-run the scenario and check it reproduces the recorded digest.
 
-    On mismatch the scenario is run twice more; if those two runs diverge
+    On mismatch the scenario is run once more; if the two runs diverge
     from each other, the error names the first divergent message,
     otherwise the recorded digest is stale for this configuration.
     """
-    report = run_scenario(config)
+    first, second = io.StringIO(), io.StringIO()
+    report = run_scenario(config, first)
     if report.transcript_digest == expected_digest:
         return True
-    lines_a = _transcript_lines(config)
-    lines_b = _transcript_lines(config)
+    run_scenario(config, second)
+    lines_a = first.getvalue().splitlines()
+    lines_b = second.getvalue().splitlines()
     for i, (a, b) in enumerate(zip(lines_a, lines_b)):
         if a != b:
             raise NondeterminismError(
@@ -526,17 +517,3 @@ def replay_transcript(expected_digest: str, config: ScenarioConfig) -> bool:
     raise NondeterminismError(
         "runs are self-consistent but do not match the recorded digest "
         f"(got {report.transcript_digest}, expected {expected_digest})")
-
-
-def _transcript_lines(config: ScenarioConfig) -> list:
-    import io
-    import os
-    import tempfile
-    fd, path = tempfile.mkstemp(suffix=".jsonl")
-    os.close(fd)
-    try:
-        run_scenario(config, transcript_path=path)
-        with io.open(path, "r") as handle:
-            return handle.read().splitlines()
-    finally:
-        os.unlink(path)

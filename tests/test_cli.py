@@ -150,6 +150,16 @@ def test_bad_inputs_exit_2_with_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_transcript_to_a_directory_exits_2(capsys, tmp_path):
+    config = write_config(tmp_path)
+    code, out, err = run_cli(capsys, ["simulate", "--config", config,
+                                      "--transcript", str(tmp_path)])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert parse(out)["kind"] == "config"
+    assert err.startswith("error: ")
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -647,10 +647,10 @@ def transit_types(case, score_mode):
 @given(data=st.data())
 def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
                                                      data):
-    # One payload field of one message, at the top level or one level
-    # down, becomes a hostile value. The flow ends in a denial with a
-    # reason, or in a grant whose signature verifies under the key the SP
-    # registered.
+    # The payload of one message, or one of its fields at the top level
+    # or one level down, becomes a hostile value. The flow ends in a
+    # denial with a reason, or in a grant whose signature verifies under
+    # the key the SP registered.
     pd, dds, sp, fasp, rng, record = make_user(case, 1, 3, SIM,
                                                score_mode=score_mode)
     # Each message type is as likely as any other, however many of its
@@ -666,7 +666,7 @@ def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
         seen.append(msg)
         if len(seen) - 1 != target:
             return msg
-        paths = [(key,) for key in msg.payload]
+        paths = [()] + [(key,) for key in msg.payload]
         for key, inner in msg.payload.items():
             if isinstance(inner, dict):
                 paths += [(key, sub) for sub in inner]
@@ -676,7 +676,9 @@ def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
                          label=f"{msg.type.value} field")
         value = data.draw(HOSTILE_VALUES, label="value")
         payload = dict(msg.payload)
-        if len(path) == 1:
+        if not path:    # the whole payload
+            payload = value
+        elif len(path) == 1:
             payload[path[0]] = value
         else:
             payload[path[0]] = payload[path[0]].copy()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from faskit import protocol
+from faskit import protocol, simulator
 from faskit.errors import ConfigError, NondeterminismError
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import message_from_wire
@@ -239,7 +239,8 @@ def test_share_recovery_failure_rate_oracle():
 
 def test_transcript_file_is_wire_format(tmp_path):
     path = tmp_path / "log.jsonl"
-    report = run_scenario(small(trials=10), transcript_path=str(path))
+    with open(path, "w") as transcript:
+        report = run_scenario(small(trials=10), transcript)
     lines = path.read_text().splitlines()
     assert len(lines) == sum(report.message_counts.values())
     for line in lines:
@@ -257,6 +258,34 @@ def test_replay_transcript_detects_stale_digest():
     assert replay_transcript(report.transcript_digest, config)
     with pytest.raises(NondeterminismError):
         replay_transcript("0" * 64, config)
+
+
+def test_replay_transcript_names_the_first_divergent_message(monkeypatch):
+    config = small(trials=3)
+    per_run = sum(run_scenario(config).message_counts.values())
+    wire = simulator.message_to_wire
+    calls = []
+
+    def drifting(msg):
+        # Message 4 of the second run differs from the first run's.
+        calls.append(msg)
+        line = wire(msg)
+        return line + " " if len(calls) == per_run + 5 else line
+
+    monkeypatch.setattr(simulator, "message_to_wire", drifting)
+    with pytest.raises(NondeterminismError, match="diverges at message 4:"):
+        replay_transcript("0" * 64, config)
+    assert len(calls) == 2 * per_run
+
+
+def test_replay_by_an_impostor_never_reaches_the_sp():
+    # The gateway denies the impostor's flow, so there is no response to
+    # replay: each trial ends in the gateway's denial.
+    report = run_scenario(small(case=2, impostor=True, adversary="replay",
+                                trials=20))
+    assert report.far == 0.0
+    assert report.reason_counts == {"score": 20}
+    assert "AuthResponse" not in report.message_counts
 
 
 def test_report_json_shape():
