@@ -71,6 +71,9 @@ class FusionPolicy:
             raise ParameterError("weights must be finite and non-negative")
         if not 0.0 <= self.theta <= 1.0:
             raise ParameterError(f"theta must be in [0,1], got {self.theta}")
+        if type(self.staleness_max) is not int or self.staleness_max < 0:
+            raise ParameterError("staleness_max must be a non-negative int, "
+                                 f"got {self.staleness_max!r}")
         object.__setattr__(self, "weights", {
             m: w for m, w in self.weights.items() if w > 0})
 
@@ -97,17 +100,24 @@ def quantize_score(score: float) -> int:
     return math.floor(score * SCORE_SCALE + 0.5)
 
 
-def _fresh_by_modality(readings, policy: FusionPolicy, now: int):
-    """Fresh readings grouped per weighted modality; each modality
-    contributes the mean of its fresh readings."""
-    grouped: dict = {}
-    for r in readings:
-        if now - r.timestamp > policy.staleness_max:
-            continue
-        if r.modality not in policy.weights:
-            continue
-        grouped.setdefault(r.modality, []).append(r)
-    return grouped
+def weighted_mean(values: dict, weights: dict) -> float:
+    """sum(w * v) / sum(w) over the modalities that have both a value and
+    a weight; 0 when there are none. Added term by term in weight order:
+    builtin sum compensates rounding from Python 3.12 on, and the plain
+    scoring service's value goes on the wire, the same on every Python."""
+    num = den = 0.0
+    for m, w in weights.items():
+        if m in values:
+            num += w * values[m]
+            den += w
+    return num / den if den else 0.0
+
+
+def _fresh(readings, policy: FusionPolicy, now: int) -> list:
+    """The readings that count: of a weighted modality and at most
+    staleness_max old."""
+    return [r for r in readings if r.modality in policy.weights
+            and now - r.timestamp <= policy.staleness_max]
 
 
 def modality_means(readings, policy: FusionPolicy, now: int) -> dict:
@@ -116,8 +126,10 @@ def modality_means(readings, policy: FusionPolicy, now: int) -> dict:
     This is the intermediate the gateway quantizes and encrypts on the
     cloud path; fuse_local is its weighted renormalized mean.
     """
-    grouped = _fresh_by_modality(readings, policy, now)
-    return {m: sum(r.score for r in g) / len(g) for m, g in grouped.items()}
+    grouped: dict = {}
+    for r in _fresh(readings, policy, now):
+        grouped.setdefault(r.modality, []).append(r.score)
+    return {m: sum(scores) / len(scores) for m, scores in grouped.items()}
 
 
 def fuse_local(readings, policy: FusionPolicy, now: int) -> AuthScore:
@@ -126,19 +138,11 @@ def fuse_local(readings, policy: FusionPolicy, now: int) -> AuthScore:
     An empty reading set fuses to 0 (and therefore fails any positive
     gate threshold).
     """
-    grouped = _fresh_by_modality(readings, policy, now)
-    if not grouped:
-        return AuthScore(value=0.0, contributing=frozenset(), mode="local")
-    num = 0.0
-    den = 0.0
-    contributing = set()
-    for modality, group in grouped.items():
-        w = policy.weights[modality]
-        num += w * (sum(r.score for r in group) / len(group))
-        den += w
-        contributing.update(r.device_id for r in group)
-    return AuthScore(value=num / den, contributing=frozenset(contributing),
-                     mode="local")
+    fresh = _fresh(readings, policy, now)
+    return AuthScore(
+        value=weighted_mean(modality_means(fresh, policy, now),
+                            policy.weights),
+        contributing=frozenset(r.device_id for r in fresh), mode="local")
 
 
 def gate(score: AuthScore, policy: FusionPolicy) -> bool:

@@ -41,7 +41,8 @@ from .algebra import GroupParams
 from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         ModalityReading, PheKeypair, fuse_encrypted,
                         fuse_local, gate, modality_means, normalize_fused,
-                        phe_decrypt, phe_encrypt, quantize_score)
+                        phe_decrypt, phe_encrypt, quantize_score,
+                        weighted_mean)
 from .errors import (CorruptedShareError, InsufficientSharesError,
                      InvalidPartialError, ParameterError, PolicyError,
                      RegistrationError, SessionError)
@@ -60,6 +61,8 @@ NONCE_TTL = 100
 SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 CLOUD_AGREEMENT_TOL = 0.01
 _TRANSCRIPT_WINDOW = 64
+# What parsing a hostile payload may raise; each marks it malformed.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, ParameterError)
 
 
 class MessageType(str, Enum):
@@ -213,7 +216,7 @@ class ServiceProvider(_Transcript):
         pubkey = self._users[entry["user_id"]]
         try:
             sig = Signature.from_json(payload["signature"])
-        except (KeyError, TypeError, ValueError):
+        except _MALFORMED:
             return self._result(response, False, "signature")
         message = signing_message_bytes(self.sp_id, bytes.fromhex(nonce_hex))
         if not verify_signature(pubkey, message, sig):
@@ -256,24 +259,22 @@ class FaspService(_Transcript):
     def __init__(self, fasp_id: str = "fasp"):
         super().__init__()
         self.fasp_id = fasp_id
-        self._policies: dict = {}
-        self._paillier_pubs: dict = {}
+        self._users: dict = {}   # user -> (policy, Paillier key or None)
         self._plain_scores_seen: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
     def register_policy(self, user_id: str, policy: FusionPolicy,
                         paillier_pub=None) -> None:
-        self._policies[user_id] = policy
-        if paillier_pub is not None:
-            self._paillier_pubs[user_id] = paillier_pub
+        self._users[user_id] = (policy, paillier_pub)
 
     def handle_score_request(self, msg: Message) -> Message:
         self.record(msg)
         fields = _fields(msg)
         user_id = fields.get("user_id", "")
-        policy = self._policies.get(user_id) if isinstance(user_id, str) \
+        entry = self._users.get(user_id) if isinstance(user_id, str) \
             else None
-        if policy is None:
+        if entry is None:
             raise PolicyError(f"no fusion policy for user {user_id!r}")
+        policy, pub = entry
         mode = fields.get("mode")
         # A request whose scores or ciphertexts do not parse, or whose
         # scores lie outside [0, SCORE_SCALE] or ciphertexts outside
@@ -288,16 +289,9 @@ class FaspService(_Transcript):
                 # at this.
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
-                weights = {m: w for m, w in policy.weights.items()
-                           if m in scores}
-                total = sum(weights.values())
-                value = 0.0
-                if total > 0:
-                    value = (sum(w * scores[m] for m, w in weights.items())
-                             / total / SCORE_SCALE)
-                payload["value"] = value
+                payload["value"] = weighted_mean(
+                    scores, policy.weights) / SCORE_SCALE
         elif mode == "encrypted":
-            pub = self._paillier_pubs.get(user_id)
             if pub is None:
                 raise PolicyError(f"no encryption key for user {user_id!r}")
             ciphertexts = _request_values(
@@ -351,7 +345,7 @@ def _request_values(payload: dict, key: str, parse) -> dict | None:
         return None
     try:
         return {Modality(k): parse(v) for k, v in raw.items()}
-    except (TypeError, ValueError, OverflowError):
+    except _MALFORMED:
         return None
 
 
@@ -472,7 +466,10 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     """Trusted-dealer enrolment run on the PD.
 
     Generates the keypair, distributes material per the case strategy,
-    and returns the record the SP stores. The dealer's secret and
+    and returns the record the SP stores. It checks every holder before
+    it writes anything: a share with no device of its index, or in CASE3
+    no usable enrolment template, raises ParameterError and leaves the PD
+    and every device as they were. The dealer's secret and
     polynomial exist only inside this call; with CASE3 the per-device
     shares and enrolment templates are likewise gone when it returns,
     leaving only helper data on the PD.
@@ -480,45 +477,40 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     if pd.score_mode == "cloud-encrypted" and paillier_keypair is None:
         raise ParameterError("cloud-encrypted scoring needs a Paillier "
                              "keypair")
-    dds = list(dds)
-    pd.strategy = strategy
-    pd.paillier = paillier_keypair
     if strategy.case is Case.CASE1:
         params = ThresholdParams(t=0, n=1)
-
     pubkey, shares, commitments = keygen_dealer(params, group, rng)
-    pd.pubkey = pubkey
-    pd.commitments = commitments
 
-    share_targets = list(shares)
-    if strategy.pd_holds_share or strategy.case is Case.CASE1:
-        pd._own_signer = DeviceSigner(share_targets[0], group)
-        share_targets = share_targets[1:]
-    if len(dds) < len(share_targets):
-        raise ParameterError(
-            f"need {len(share_targets)} devices for the remaining shares, "
-            f"got {len(dds)}")
+    own = strategy.pd_holds_share or strategy.case is Case.CASE1
     by_index = {dd.index: dd for dd in dds}
-    if strategy.case is Case.CASE3 and enrolment_templates is None:
-        raise ParameterError("CASE3 enrolment needs one template per DD")
-
-    for share in share_targets:
+    holders = []   # (share, device, CASE3 helper data or None)
+    for share in shares[1:] if own else shares:
         dd = by_index.get(share.index)
         if dd is None:
             raise ParameterError(
                 f"no device with index {share.index} to hold its share")
-        if strategy.case is Case.CASE2:
+        helper = None
+        if strategy.case is Case.CASE3:
+            template = (enrolment_templates or {}).get(share.index)
+            if template is None:
+                raise ParameterError(
+                    f"missing enrolment template for device {share.index}")
+            helper = fe_enroll(scalar_to_bits(share.value, strategy.code.m),
+                               template, strategy.code)
+        holders.append((share, dd, helper))
+
+    pd.strategy = strategy
+    pd.paillier = paillier_keypair
+    pd.pubkey = pubkey
+    pd.commitments = commitments
+    if own:
+        pd._own_signer = DeviceSigner(shares[0], group)
+    for share, dd, helper in holders:
+        # In CASE3 the DD keeps nothing and the PD only the helper data.
+        if helper is None:
             dd.install_key_share(share, group)
-            continue
-        template = enrolment_templates.get(share.index)
-        if template is None:
-            raise ParameterError(
-                f"missing enrolment template for device {share.index}")
-        bits = scalar_to_bits(share.value, strategy.code.m)
-        pd.helper_store[share.index] = fe_enroll(bits, template,
-                                                 strategy.code)
-        # share bits and template go out of scope here; the DD keeps
-        # nothing and the PD keeps only the helper data
+        else:
+            pd.helper_store[share.index] = helper
     return RegistrationRecord(user_id=user_id, pubkey=pubkey)
 
 
@@ -627,7 +619,7 @@ def _parse_reading(payload: dict) -> ModalityReading | None:
                                modality=Modality(payload["modality"]),
                                score=float(payload["score"]),
                                timestamp=int(payload["timestamp"]))
-    except (KeyError, TypeError, ValueError, OverflowError, ParameterError):
+    except _MALFORMED:
         return None
 
 
@@ -693,7 +685,7 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
         if pd.score_mode == "cloud-plain":
             return float(reply.payload["value"])
         fused = int(reply.payload["ciphertext"], 16)
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except _MALFORMED:
         return None
     public = pd.paillier.public
     weights = pd.policy.integer_weights(scores)
@@ -725,7 +717,7 @@ def _regenerate(flow: _Flow, session: str, dd: DumbDevice) -> bool:
             HelperData.from_json(payload["helper"]),
             FeldmanCommitments.from_json(payload["commitments"]),
             pd.pubkey.group, session)
-    except (KeyError, TypeError, ValueError, OverflowError, ParameterError):
+    except _MALFORMED:
         # A payload that does not parse, or a helper that does not fit
         # the device's template: the device sits out.
         return False
@@ -753,7 +745,7 @@ def _exchange(flow: _Flow, session: str, signer_row, kind: MessageType,
                        dd, pd)
     try:
         sender, value = answer.payload["index"], int(answer.payload[key], 16)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidPartialError(
             f"signer {index}: malformed {kind.value} answer") from exc
     if sender != index or not 0 <= value < bound:

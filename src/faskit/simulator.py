@@ -105,12 +105,12 @@ class ScenarioConfig:
             yield f"weights.{name}", lambda name=name, weight=weight: (
                 Modality(name), _typed(weight, int, float))
         yield "weights", lambda: FusionPolicy(weights=self.weights)
+        yield "staleness_max", lambda: FusionPolicy(
+            weights=self.weights, staleness_max=self.staleness_max)
         yield "theta", lambda: (_typed(self.theta, int, float),
                                 self.policy())
         yield "score_mode", lambda: PersonalDevice(
             user_id="", policy=self.policy(), score_mode=self.score_mode)
-        yield "staleness_max", lambda: _require(
-            _typed(self.staleness_max, int) >= 0, "must be >= 0")
         yield "group", lambda: get_group(self.group)
         yield "code_r", lambda: CodeParams(m=1, r=_typed(self.code_r, int))
         yield "paillier_bits", lambda: _require(
@@ -496,14 +496,16 @@ def share_recovery_failure_rate(code: CodeParams, p_flip: float,
 def replay_transcript(expected_digest: str, config: ScenarioConfig) -> bool:
     """Re-run the scenario and check it reproduces the recorded digest.
 
-    On mismatch the scenario is run once more; if the two runs diverge
-    from each other, the error names the first divergent message,
+    A match costs one run that keeps no transcript. On a mismatch the
+    scenario is run twice more, each run's transcript kept; if those two
+    diverge from each other, the error names the first divergent message,
     otherwise the recorded digest is stale for this configuration.
     """
-    first, second = io.StringIO(), io.StringIO()
-    report = run_scenario(config, first)
+    report = run_scenario(config)
     if report.transcript_digest == expected_digest:
         return True
+    first, second = io.StringIO(), io.StringIO()
+    run_scenario(config, first)
     run_scenario(config, second)
     lines_a = first.getvalue().splitlines()
     lines_b = second.getvalue().splitlines()

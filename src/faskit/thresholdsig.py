@@ -195,38 +195,38 @@ class DeviceSigner:
     def __init__(self, key_share: KeyShare, group: GroupParams):
         self._share = key_share
         self._group = group
-        self._nonces: dict = {}
-        self._used_sessions: dict = {}   # insertion-ordered, oldest first
+        # session id -> pending nonce, or None once consumed or aborted
+        self._sessions: dict = {}   # insertion-ordered, oldest first
 
     @property
     def index(self) -> int:
         return self._share.index
 
     def round1(self, session_id: str, rng: random.Random) -> NonceCommitment:
-        if session_id in self._used_sessions:
+        if session_id in self._sessions:
             raise SessionError(
                 f"device {self.index} already used session {session_id!r}")
-        self._used_sessions[session_id] = None
-        if len(self._used_sessions) > _SESSION_WINDOW:
-            oldest = next(iter(self._used_sessions))
-            del self._used_sessions[oldest]
-            self._nonces.pop(oldest, None)
+        self._sessions[session_id] = None
+        if len(self._sessions) > _SESSION_WINDOW:
+            del self._sessions[next(iter(self._sessions))]
         k, commitment = sign_round1(self._share, self._group, session_id, rng)
-        self._nonces[session_id] = k
+        self._sessions[session_id] = k
         return commitment
 
     def round2(self, session_id: str, challenge: Scalar,
                signer_set) -> PartialSignature:
-        if session_id not in self._nonces:
+        k = self._sessions.get(session_id)
+        if k is None:
             raise SessionError(
                 f"device {self.index} holds no nonce for {session_id!r}")
-        k = self._nonces.pop(session_id)  # consumed: nonce is gone after this
+        self._sessions[session_id] = None  # consumed: the nonce is gone
         return sign_round2(self._share, k, challenge, signer_set,
                            self._group.field, session_id=session_id)
 
     def has_nonce(self, session_id: str) -> bool:
-        return session_id in self._nonces
+        return self._sessions.get(session_id) is not None
 
     def abort_session(self, session_id: str) -> None:
         """Drop the nonce without producing a partial."""
-        self._nonces.pop(session_id, None)
+        if session_id in self._sessions:
+            self._sessions[session_id] = None

@@ -24,6 +24,11 @@ def test_mod_inv_always_inverts():
         assert a * mod_inv(a, m) % m == 1
 
 
+def test_mod_inv_refuses_a_modulus_below_2():
+    with pytest.raises(ParameterError, match="modulus"):
+        mod_inv(3, 1)
+
+
 def test_mod_inv_rejects_non_invertible():
     with pytest.raises(NonInvertibleError):
         mod_inv(0, 17)

@@ -11,7 +11,7 @@ from faskit.authscore import (WEIGHT_SCALE, AuthScore, FusionPolicy, Modality,
                               gate, keypair_from_primes, modality_means,
                               normalize_fused, phe_add, phe_decrypt,
                               phe_encrypt, phe_keygen, phe_scale,
-                              quantize_score)
+                              quantize_score, weighted_mean)
 from faskit.errors import ParameterError
 
 G, L, H = Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT
@@ -106,6 +106,39 @@ def test_policy_refuses_a_weight_the_cloud_path_cannot_scale(weight):
     # 1e308 is finite, but 1e308 * WEIGHT_SCALE is not.
     with pytest.raises(ParameterError, match="finite"):
         FusionPolicy(weights={G: weight, L: 0.5})
+
+
+@pytest.mark.parametrize("staleness_max", [-1, "3", True, 2.0])
+def test_policy_refuses_a_bad_freshness_window(staleness_max):
+    # A negative window would deny every reading; a bool is not an int.
+    with pytest.raises(ParameterError, match="staleness_max"):
+        FusionPolicy(weights={G: 1.0}, staleness_max=staleness_max)
+    assert FusionPolicy(weights={G: 1.0}, staleness_max=0).staleness_max == 0
+
+
+def test_fresh_reading_of_an_unweighted_modality_is_ignored():
+    policy = FusionPolicy(weights={G: 1.0})
+    rs = [ModalityReading("dd1", G, 0.6, 0), ModalityReading("dd2", L, 0.0, 0)]
+    score = fuse_local(rs, policy, 0)
+    assert score.value == 0.6
+    assert score.contributing == frozenset({"dd1"})
+    assert modality_means(rs, policy, 0) == {G: 0.6}
+
+
+def test_weighted_mean_renormalizes_over_what_has_a_value_and_a_weight():
+    weights = {G: 0.5, L: 0.3, H: 0.2}
+    assert weighted_mean({G: 80, H: 20, C: 100}, weights) \
+        == pytest.approx(44 / 0.7)
+    assert weighted_mean({}, weights) == 0.0
+    assert weighted_mean({C: 1.0}, weights) == 0.0
+
+
+def test_weighted_mean_is_the_same_on_every_python():
+    # Added term by term this is 80.89999999999999; builtin sum, which
+    # compensates rounding from Python 3.12 on, gives 80.9 there. The
+    # plain scoring service puts this value on the wire.
+    weights = {G: 0.4, L: 0.3, H: 0.3}
+    assert weighted_mean({G: 80, L: 81, H: 82}, weights) == 80.89999999999999
 
 
 def test_quantization_rounds_half_up():

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from faskit import cli
 from faskit.cli import main
+from faskit.errors import NondeterminismError
 
 
 def run_cli(capsys, argv):
@@ -158,6 +160,25 @@ def test_simulate_transcript_to_a_directory_exits_2(capsys, tmp_path):
     assert out.count("\n") == 1
     assert parse(out)["kind"] == "config"
     assert err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["auth", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_internal_error_exits_3(capsys, tmp_path, monkeypatch):
+    # A FaskitError that is not a configuration error is an internal one.
+    def broken(config, transcript=None):
+        raise NondeterminismError("runs diverge")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = run_cli(capsys, ["simulate", "--config",
+                                      write_config(tmp_path)])
+    assert code == 3
+    assert parse(out) == {"error": "runs diverge", "kind": "internal"}
+    assert err.startswith("internal error: ")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -153,6 +153,38 @@ def test_enroll_requires_enough_devices(sim_group):
                dds=dds, rng=random.Random(0))
 
 
+def test_failed_enrolment_writes_nothing(sim_group):
+    # CASE2 with devices 1, 2, 4 and n=3: no device holds share 3. CASE3
+    # with a gateway share and no template for device 3. Either way the
+    # enrolment raises before it writes: no device holds a share, the
+    # gateway holds no key material and no helper data.
+    code = CodeParams(m=sim_group.q.bit_length(), r=3)
+    bits = "0" * code.codeword_length
+    attempts = [
+        (CaseStrategy(case=Case.CASE2), (1, 2, 4), None),
+        (CaseStrategy(case=Case.CASE3, pd_holds_share=True, code=code),
+         (2, 3), {2: bits}),
+    ]
+    for strategy, indices, templates in attempts:
+        pd = PersonalDevice(user_id="user1", policy=make_policy())
+        dds = [DumbDevice(index=i, modalities=[G]) for i in indices]
+        with pytest.raises(ParameterError, match="device 3|index 3"):
+            enroll(user_id="user1", strategy=strategy,
+                   params=ThresholdParams(t=1, n=3), group=sim_group, pd=pd,
+                   dds=dds, rng=random.Random(0),
+                   enrolment_templates=templates)
+        assert all("key_share_value" not in dd.persistent_state()
+                   for dd in dds)
+        assert pd.helper_store == {}
+        assert pd._own_signer is None and pd.pubkey is None
+        assert pd.strategy is None
+
+
+def test_case3_strategy_needs_code_parameters():
+    with pytest.raises(ParameterError, match="code"):
+        CaseStrategy(case=Case.CASE3)
+
+
 def test_challenges_are_fresh_32_byte_nonces(sim_group):
     _, _, sp, _, _, _ = make_user(Case.CASE2, 1, 3, sim_group)
     c1 = sp.issue_challenge("user1", sp.new_session(), now=0)
@@ -509,10 +541,40 @@ def test_failed_ceremony_leaves_no_nonce_on_the_gateway(sim_group):
     # the ceremony before the PD's round 2.
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
                                        pd_holds_share=True)
-    _, result = authenticate(pd, dds, sp, rng, transit_hook=replace_first(
-        MessageType.SIGN_ROUND1, set_field("R", "zz")))
+    messages, result = authenticate(pd, dds, sp, rng, transit_hook=
+                                    replace_first(MessageType.SIGN_ROUND1,
+                                                  set_field("R", "zz")))
     assert result.payload["reason"] == "invalid-partial"
-    assert pd._own_signer._nonces == {}
+    assert not pd._own_signer.has_nonce(messages[0].session_id)
+    assert list(pd._own_signer._sessions.values()) == [None]
+
+
+def test_device_without_a_current_template_regenerates_nothing(sim_group):
+    pd, dds, _, _, _, _ = make_user(Case.CASE3, 1, 3, sim_group)
+    dd = dds[0]
+    dd.current_template = None
+    assert not dd.receive_helper(pd.helper_store[dd.index], pd.commitments,
+                                 sim_group, "s1")
+    assert dd._signer is None
+
+
+def test_device_with_no_stored_helper_sits_out(sim_group):
+    # dd1's helper data is gone, so it gets no delivery and does not
+    # sign; dd2 and dd3 still make the quorum of 2.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE3, 1, 3, sim_group)
+    del pd.helper_store[1]
+    messages, result = authenticate(pd, dds, sp, rng)
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert all(m.receiver != "dd1" and m.sender != "dd1"
+               for m in messages
+               if m.type is not MessageType.SENSOR_READING)
+
+
+def test_cloud_score_mode_without_a_scoring_service_is_refused(sim_group):
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                       score_mode="cloud-plain")
+    with pytest.raises(ParameterError, match="scoring service"):
+        authenticate(pd, dds, sp, rng)
 
 
 def garble_ciphertexts(payload):

@@ -64,6 +64,10 @@ MISTYPED = [
     ({"theta": True}, "theta"),
     ({"present_devices": [True]}, "present_devices"),
     ({"present_devices": [2.0]}, "present_devices"),
+    ({"staleness_max": -1}, "staleness_max"),
+    ({"staleness_max": "3"}, "staleness_max"),
+    ({"staleness_max": True}, "staleness_max"),
+    ({"staleness_max": 2.0}, "staleness_max"),
 ]
 
 
@@ -275,7 +279,22 @@ def test_replay_transcript_names_the_first_divergent_message(monkeypatch):
     monkeypatch.setattr(simulator, "message_to_wire", drifting)
     with pytest.raises(NondeterminismError, match="diverges at message 4:"):
         replay_transcript("0" * 64, config)
-    assert len(calls) == 2 * per_run
+    assert len(calls) == 3 * per_run
+
+
+def test_matching_replay_runs_once_without_a_transcript(monkeypatch):
+    config = small(trials=3)
+    digest = run_scenario(config).transcript_digest
+    run = simulator.run_scenario
+    transcripts = []
+
+    def spy(config, transcript=None):
+        transcripts.append(transcript)
+        return run(config, transcript)
+
+    monkeypatch.setattr(simulator, "run_scenario", spy)
+    assert replay_transcript(digest, config)
+    assert transcripts == [None]
 
 
 def test_replay_by_an_impostor_never_reaches_the_sp():

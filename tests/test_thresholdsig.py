@@ -307,7 +307,7 @@ def test_device_signer_forgets_sessions_past_the_window(sim_group):
         signer.round1(f"sess-{i}", rng)
         signer.abort_session(f"sess-{i}")
     assert _SESSION_WINDOW == 1024
-    assert len(signer._used_sessions) <= _SESSION_WINDOW
+    assert len(signer._sessions) <= _SESSION_WINDOW
     with pytest.raises(SessionError):
         signer.round1("sess-1099", rng)   # the newest id is still refused
     signer.round1("sess-0", rng)          # the oldest was forgotten first
@@ -319,6 +319,6 @@ def test_device_signer_drops_pending_nonces_past_the_window(sim_group):
     signer = DeviceSigner(shares[0], sim_group)
     for i in range(3000):
         signer.round1(f"sess-{i}", rng)   # no round 2, no abort
-    assert len(signer._nonces) <= _SESSION_WINDOW
+    assert len(signer._sessions) <= _SESSION_WINDOW
     assert signer.has_nonce("sess-2999")
     assert not signer.has_nonce("sess-0")
