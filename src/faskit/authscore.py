@@ -332,6 +332,14 @@ def fuse_encrypted(encrypted_scores: dict, integer_weights: dict,
     return acc
 
 
+def max_fused_plaintext(policy: FusionPolicy) -> int:
+    """The largest weighted sum an honest encrypted fusion under `policy`
+    reaches, SCORE_SCALE * sum of the integer weights. A Paillier n must
+    exceed it; otherwise the sum wraps mod n and the gateway never
+    believes the service."""
+    return SCORE_SCALE * sum(policy.integer_weights().values())
+
+
 def normalize_fused(decrypted: int, integer_weights: dict) -> float:
     """Map the decrypted weighted sum back to a score in [0, 1]."""
     total = sum(integer_weights.values())

@@ -9,7 +9,9 @@ what dispute resolution audits offline.
 
 A flow runs: AuthRequest -> Challenge -> sensor collection -> score
 fusion and gating -> (only if the gate passes) the signing ceremony of
-the active case strategy -> AuthResponse -> AuthResult.
+the active case strategy -> AuthResponse -> AuthResult. The ceremony
+erases the nonces it drew, whether it signs or fails; enroll writes every
+share slot, replacing any earlier enrolment.
 
 Case strategies, which differ only in where the signing key lives:
   CASE1 - the one-of-one sharing (t=0, n=1): the PD holds the only share,
@@ -18,8 +20,8 @@ Case strategies, which differ only in where the signing key lives:
           devices run the two-round threshold signing.
   CASE3 - devices store nothing; the PD holds helper data per device and
           delivers it each session, the device regenerates its share from
-          its current sensor template, checks it against the public
-          commitments, signs, and erases everything.
+          its current sensor template and checks it against the public
+          commitments; the share lives only in that session's ceremony.
 
 The gate always derives from the raw readings the PD collected: in cloud
 score modes the PD cross-checks the service's fused value against its own
@@ -40,12 +42,12 @@ from enum import Enum
 from .algebra import GroupParams
 from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         ModalityReading, PheKeypair, fuse_encrypted,
-                        fuse_local, gate, modality_means, normalize_fused,
-                        phe_decrypt, phe_encrypt, quantize_score,
-                        weighted_mean)
+                        fuse_local, gate, max_fused_plaintext,
+                        modality_means, normalize_fused, phe_decrypt,
+                        phe_encrypt, quantize_score, weighted_mean)
 from .errors import (CorruptedShareError, InsufficientSharesError,
                      InvalidPartialError, ParameterError, PolicyError,
-                     RegistrationError, SessionError)
+                     RegistrationError)
 from .fuzzyextractor import (CodeParams, HelperData, bits_to_scalar,
                              fe_enroll, fe_reproduce, scalar_to_bits)
 from .sharing import (FeldmanCommitments, Share, ThresholdParams,
@@ -103,12 +105,19 @@ def message_to_wire(msg: Message) -> str:
 
 
 def message_from_wire(line: str) -> Message:
-    obj = json.loads(line)
-    if obj.get("v") != WIRE_VERSION:
-        raise ParameterError(f"unsupported wire version {obj.get('v')!r}")
-    return Message(type=MessageType(obj["type"]), sender=obj["from"],
-                   receiver=obj["to"], session_id=obj["session"],
-                   payload=obj["payload"])
+    """The Message a wire line encodes; ParameterError when the line is
+    not a JSON object of this wire version with every field."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        if obj.get("v") != WIRE_VERSION:
+            raise ValueError(f"unsupported wire version {obj.get('v')!r}")
+        return Message(type=MessageType(obj["type"]), sender=obj["from"],
+                       receiver=obj["to"], session_id=obj["session"],
+                       payload=obj["payload"])
+    except _MALFORMED as exc:
+        raise ParameterError(f"malformed wire line: {exc}") from None
 
 
 def signing_message_bytes(sp_id: str, nonce: bytes) -> bytes:
@@ -285,8 +294,7 @@ class FaspService(_Transcript):
             scores = _request_values(fields, "scores", _plain_score)
             if scores is not None:
                 # A plain-mode service retains the last scores it was
-                # sent; the privacy inspection in the simulator points
-                # at this.
+                # sent, which state_snapshot reports.
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
                 payload["value"] = weighted_mean(
@@ -356,10 +364,11 @@ def _request_values(payload: dict, key: str, parse) -> dict | None:
 class DumbDevice(_Transcript):
     """Sensor-bearing wearable. Talks only to the PD.
 
-    A device has one signer slot. In CASE2 it persistently stores its key
-    share there. In CASE3 it stores nothing between sessions: each session
-    it regenerates the share from helper data plus its current template,
-    and end_session erases it.
+    A device has one signer slot, which only enroll writes. In CASE2 it
+    persistently stores its key share there. In CASE3 the slot stays
+    empty: each session receive_helper regenerates the share from helper
+    data plus the current template and hands it to the signing ceremony,
+    which drops it when the session ends.
     """
 
     def __init__(self, index: int, modalities):
@@ -371,53 +380,43 @@ class DumbDevice(_Transcript):
         self.current_scores: dict = {}
         self.current_template: str | None = None
         self._signer: DeviceSigner | None = None
-        # The session a regenerated CASE3 share serves; None when the
-        # device stores its share.
-        self._session: str | None = None
 
     def read_sensor(self, now: int):
         return [ModalityReading(device_id=self.device_id, modality=m,
                                 score=self.current_scores[m], timestamp=now)
                 for m in self.modalities if m in self.current_scores]
 
-    def install_key_share(self, share: Share, group: GroupParams) -> None:
-        self._signer, self._session = DeviceSigner(share, group), None
+    def install_key_share(self, share: Share | None,
+                          group: GroupParams) -> None:
+        """Fill the signer slot with `share`, or empty it for None."""
+        self._signer = None if share is None else DeviceSigner(share, group)
 
     def receive_helper(self, helper: HelperData,
                        commitments: FeldmanCommitments,
-                       group: GroupParams, session_id: str) -> bool:
+                       group: GroupParams) -> DeviceSigner | None:
         """CASE3: regenerate the key share from the current template.
 
-        Returns False when the recovered share fails the commitment check
-        (too-noisy or impostor template); the device then sits the
-        session out.
+        Returns a signer over it, which the device does not keep, or None
+        when the recovered share fails the commitment check (too-noisy or
+        impostor template); the device then sits the session out.
         """
         if self.current_template is None:
-            return False
+            return None
         bits = fe_reproduce(self.current_template, helper)
         try:
             value = bits_to_scalar(bits, group.field)
         except CorruptedShareError:
-            return False
+            return None
         share = Share(index=self.index, value=value)
         if not verify_share(share, commitments, group):
-            return False
-        self._signer, self._session = DeviceSigner(share, group), session_id
-        return True
-
-    def end_session(self, session_id: str) -> None:
-        """Erase all transient signing material for this session."""
-        if self._session is None:
-            if self._signer is not None:
-                self._signer.abort_session(session_id)
-        elif self._session == session_id:
-            self._signer = self._session = None
+            return None
+        return DeviceSigner(share, group)
 
     def persistent_state(self) -> dict:
         """Everything this device keeps between sessions."""
         state = {"device_id": self.device_id, "index": self.index,
                  "modalities": [m.value for m in self.modalities]}
-        if self._signer is not None and self._session is None:
+        if self._signer is not None:
             state["key_share_value"] = self._signer._share.value
         return state
 
@@ -466,51 +465,56 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     """Trusted-dealer enrolment run on the PD.
 
     Generates the keypair, distributes material per the case strategy,
-    and returns the record the SP stores. It checks every holder before
-    it writes anything: a share with no device of its index, or in CASE3
-    no usable enrolment template, raises ParameterError and leaves the PD
-    and every device as they were. The dealer's secret and
-    polynomial exist only inside this call; with CASE3 the per-device
-    shares and enrolment templates are likewise gone when it returns,
-    leaving only helper data on the PD.
+    and returns the record the SP stores. It replaces any earlier
+    enrolment: the PD's own share, its helper data and the share slot of
+    every given device are all set anew, and a slot this case does not
+    fill is emptied. It checks every input before it writes anything: two
+    devices with one index, a share with no device of its index, in CASE3
+    no usable enrolment template, or a Paillier modulus too small for the
+    fused score raises ParameterError and leaves the PD and every device
+    as they were. The dealer's secret and polynomial exist only inside
+    this call; with CASE3 the per-device shares and enrolment templates
+    are likewise gone when it returns, leaving only helper data on the PD.
     """
-    if pd.score_mode == "cloud-encrypted" and paillier_keypair is None:
+    if pd.score_mode == "cloud-encrypted" and (
+            paillier_keypair is None or paillier_keypair.public.n
+            <= max_fused_plaintext(pd.policy)):
         raise ParameterError("cloud-encrypted scoring needs a Paillier "
-                             "keypair")
+                             "keypair whose n exceeds the largest fused score")
+    by_index = {}
+    for dd in dds:
+        if by_index.setdefault(dd.index, dd) is not dd:
+            raise ParameterError(f"two devices have index {dd.index}")
     if strategy.case is Case.CASE1:
         params = ThresholdParams(t=0, n=1)
     pubkey, shares, commitments = keygen_dealer(params, group, rng)
 
     own = strategy.pd_holds_share or strategy.case is Case.CASE1
-    by_index = {dd.index: dd for dd in dds}
-    holders = []   # (share, device, CASE3 helper data or None)
+    stored, helpers = {}, {}   # index -> a device's share / CASE3 helper
     for share in shares[1:] if own else shares:
-        dd = by_index.get(share.index)
-        if dd is None:
+        if share.index not in by_index:
             raise ParameterError(
                 f"no device with index {share.index} to hold its share")
-        helper = None
         if strategy.case is Case.CASE3:
             template = (enrolment_templates or {}).get(share.index)
             if template is None:
                 raise ParameterError(
                     f"missing enrolment template for device {share.index}")
-            helper = fe_enroll(scalar_to_bits(share.value, strategy.code.m),
-                               template, strategy.code)
-        holders.append((share, dd, helper))
+            helpers[share.index] = fe_enroll(
+                scalar_to_bits(share.value, strategy.code.m), template,
+                strategy.code)
+        else:
+            stored[share.index] = share
 
     pd.strategy = strategy
     pd.paillier = paillier_keypair
     pd.pubkey = pubkey
     pd.commitments = commitments
-    if own:
-        pd._own_signer = DeviceSigner(shares[0], group)
-    for share, dd, helper in holders:
-        # In CASE3 the DD keeps nothing and the PD only the helper data.
-        if helper is None:
-            dd.install_key_share(share, group)
-        else:
-            pd.helper_store[share.index] = helper
+    pd._own_signer = DeviceSigner(shares[0], group) if own else None
+    # In CASE3 the DDs keep nothing and the PD only the helper data.
+    pd.helper_store = helpers
+    for index, dd in by_index.items():
+        dd.install_key_share(stored.get(index), group)
     return RegistrationRecord(user_id=user_id, pubkey=pubkey)
 
 
@@ -529,8 +533,9 @@ def _denied(pd: PersonalDevice, session: str, reason: str) -> Message:
 class _Flow:
     """One authentication attempt driven by the PD."""
 
-    def __init__(self, pd, dds, fasp, rng, transit_hook):
+    def __init__(self, pd, dds, session, fasp, rng, transit_hook):
         self.pd = pd
+        self.session = session
         self.dds = sorted(dds, key=lambda d: d.index)
         self.fasp = fasp
         self.rng = rng
@@ -560,54 +565,44 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     an AuthResponse for the SP or a locally emitted denied AuthResult.
     If the score gate fails, no signing message is ever sent.
     """
-    flow = _Flow(pd, dds, fasp, rng, transit_hook)
-    pd.record(challenge)
     session = challenge.session_id
+    flow = _Flow(pd, dds, session, fasp, rng, transit_hook)
+    pd.record(challenge)
     sp_id = challenge.payload["sp_id"]
     nonce = bytes.fromhex(challenge.payload["nonce"])
 
+    # Step 3a: collect sensor readings from every live device.
+    for dd in flow.dds:
+        for reading in dd.read_sensor(now):
+            msg = Message(type=MessageType.SENSOR_READING,
+                          sender=dd.device_id, receiver=pd.entity_id,
+                          session_id=session, payload=reading.to_json())
+            parsed = _parse_reading(flow.send(msg, dd, pd).payload)
+            if parsed is not None:
+                flow.readings.append(parsed)
+
+    # Step 3b: fuse and gate. The local fusion over raw readings is
+    # always computed; cloud modes must agree with it to be believed.
+    score = _compute_auth_score(flow, now)
+    if not gate(score, pd.policy):
+        return flow.messages + [_denied(pd, session, "score")]
+
+    # Step 4: the signing ceremony of the active case.
+    message_bytes = signing_message_bytes(sp_id, nonce)
     try:
-        # Step 3a: collect sensor readings from every live device.
-        for dd in flow.dds:
-            for reading in dd.read_sensor(now):
-                msg = Message(type=MessageType.SENSOR_READING,
-                              sender=dd.device_id, receiver=pd.entity_id,
-                              session_id=session,
-                              payload=reading.to_json())
-                parsed = _parse_reading(flow.send(msg, dd, pd).payload)
-                if parsed is not None:
-                    flow.readings.append(parsed)
+        signature = _sign_ceremony(flow, message_bytes)
+    except InsufficientSharesError:
+        return flow.messages + [_denied(pd, session, "insufficient-devices")]
+    except InvalidPartialError:
+        return flow.messages + [_denied(pd, session, "invalid-partial")]
 
-        # Step 3b: fuse and gate. The local fusion over raw readings is
-        # always computed; cloud modes must agree with it to be believed.
-        score = _compute_auth_score(flow, session, now)
-        if not gate(score, pd.policy):
-            return flow.messages + [_denied(pd, session, "score")]
-
-        # Step 4: the signing ceremony of the active case.
-        message_bytes = signing_message_bytes(sp_id, nonce)
-        try:
-            signature = _sign_ceremony(flow, session, message_bytes)
-        except InsufficientSharesError:
-            return flow.messages + [_denied(pd, session,
-                                            "insufficient-devices")]
-        except InvalidPartialError:
-            return flow.messages + [_denied(pd, session, "invalid-partial")]
-
-        # Step 5: answer the challenge.
-        response = Message(type=MessageType.AUTH_RESPONSE,
-                           sender=pd.entity_id, receiver=sp_id,
-                           session_id=session,
-                           payload={"user_id": pd.user_id,
-                                    "nonce": nonce.hex(),
-                                    "signature": signature.to_json()})
-        flow.send(response, pd, None)
-        return flow.messages
-    finally:
-        for dd in flow.dds:
-            dd.end_session(session)
-        if pd._own_signer is not None:
-            pd._own_signer.abort_session(session)
+    # Step 5: answer the challenge.
+    response = Message(type=MessageType.AUTH_RESPONSE, sender=pd.entity_id,
+                       receiver=sp_id, session_id=session,
+                       payload={"user_id": pd.user_id, "nonce": nonce.hex(),
+                                "signature": signature.to_json()})
+    flow.send(response, pd, None)
+    return flow.messages
 
 
 def _parse_reading(payload: dict) -> ModalityReading | None:
@@ -623,7 +618,7 @@ def _parse_reading(payload: dict) -> ModalityReading | None:
         return None
 
 
-def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
+def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
     pd = flow.pd
     local = fuse_local(flow.readings, pd.policy, now)
     if pd.score_mode == "local-bypass" or not local.contributing:
@@ -647,7 +642,7 @@ def _compute_auth_score(flow: _Flow, session: str, now: int) -> AuthScore:
     # Note: no sp_id in the payload; the scoring service must not learn
     # where the user is authenticating.
     request = Message(type=MessageType.SCORE_REQUEST, sender=pd.entity_id,
-                      receiver=flow.fasp.fasp_id, session_id=session,
+                      receiver=flow.fasp.fasp_id, session_id=flow.session,
                       payload=payload)
     delivered = flow.send(request, pd, None)
     try:
@@ -700,15 +695,15 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
     return normalize_fused(plaintext, weights)
 
 
-def _regenerate(flow: _Flow, session: str, dd: DumbDevice) -> bool:
-    """CASE3: deliver dd's helper data; True when the share it regenerates
-    passes the commitment check."""
+def _regenerate(flow: _Flow, dd: DumbDevice) -> DeviceSigner | None:
+    """CASE3: deliver dd's helper data; the signer over the share it
+    regenerates, or None when that share fails the commitment check."""
     pd = flow.pd
     helper = pd.helper_store.get(dd.index)
     if helper is None:
-        return False
+        return None
     delivery = Message(type=MessageType.HELPER_DELIVERY, sender=pd.entity_id,
-                       receiver=dd.device_id, session_id=session,
+                       receiver=dd.device_id, session_id=flow.session,
                        payload={"helper": helper.to_json(),
                                 "commitments": pd.commitments.to_json()})
     payload = flow.send(delivery, pd, dd).payload
@@ -716,15 +711,15 @@ def _regenerate(flow: _Flow, session: str, dd: DumbDevice) -> bool:
         return dd.receive_helper(
             HelperData.from_json(payload["helper"]),
             FeldmanCommitments.from_json(payload["commitments"]),
-            pd.pubkey.group, session)
+            pd.pubkey.group)
     except _MALFORMED:
         # A payload that does not parse, or a helper that does not fit
         # the device's template: the device sits out.
-        return False
+        return None
 
 
-def _exchange(flow: _Flow, session: str, signer_row, kind: MessageType,
-              ask: dict, key: str, bound: int, sign) -> int:
+def _exchange(flow: _Flow, signer_row, kind: MessageType, ask: dict,
+              key: str, bound: int, sign) -> int:
     """One signer's round-`kind` value: `sign(signer)` computes it.
 
     The PD's own share (no device) signs in place and sends no message.
@@ -737,9 +732,10 @@ def _exchange(flow: _Flow, session: str, signer_row, kind: MessageType,
         return sign(signer)
     pd = flow.pd
     flow.send(Message(type=kind, sender=pd.entity_id, receiver=dd.device_id,
-                      session_id=session, payload=ask), pd, dd)
+                      session_id=flow.session, payload=ask), pd, dd)
     answer = flow.send(Message(type=kind, sender=dd.device_id,
-                               receiver=pd.entity_id, session_id=session,
+                               receiver=pd.entity_id,
+                               session_id=flow.session,
                                payload={"index": index,
                                         key: format(sign(signer), "x")}),
                        dd, pd)
@@ -753,25 +749,27 @@ def _exchange(flow: _Flow, session: str, signer_row, kind: MessageType,
     return value
 
 
-def _sign_ceremony(flow: _Flow, session: str,
-                   message_bytes: bytes) -> Signature:
+def _sign_ceremony(flow: _Flow, message_bytes: bytes) -> Signature:
+    """Round 1, the challenge and round 2 with the first t+1 signers,
+    then combine; the chosen signers' nonces are gone when it returns."""
     pd = flow.pd
+    session = flow.session
     group = pd.pubkey.group
     quorum = pd.pubkey.params.t + 1
 
     # Signers, as (index, device or None, DeviceSigner): the PD's own
     # share if it has one, and each device that stores a share (CASE2;
     # none do in CASE1) or, in CASE3, whose share regenerated from
-    # delivered helper data passes the commitment check.
+    # delivered helper data passes the commitment check. A regenerated
+    # share lives only in this list.
     signers = []
     if pd._own_signer is not None:
         signers.append((pd._own_signer.index, None, pd._own_signer))
     case3 = pd.strategy.case is Case.CASE3
     for dd in flow.dds:
-        ready = (_regenerate(flow, session, dd) if case3
-                 else dd._signer is not None)
-        if ready:
-            signers.append((dd.index, dd, dd._signer))
+        signer = _regenerate(flow, dd) if case3 else dd._signer
+        if signer is not None:
+            signers.append((dd.index, dd, signer))
     signers.sort(key=lambda row: row[0])
     if len(signers) < quorum:
         raise InsufficientSharesError(
@@ -779,21 +777,25 @@ def _sign_ceremony(flow: _Flow, session: str,
     chosen = signers[:quorum]
     signer_set = [index for index, _, _ in chosen]
 
-    commitments = [NonceCommitment(
-        index=row[0], session_id=session, commitment=_exchange(
-            flow, session, row, MessageType.SIGN_ROUND1, {"signer": row[0]},
-            "R", group.p,
-            lambda signer: signer.round1(session, flow.rng).commitment))
-        for row in chosen]
-    R = 1
-    for com in commitments:
-        R = R * com.commitment % group.p
-    c = compute_challenge_scalar(R, pd.pubkey.y, message_bytes, group)
-    partials = [PartialSignature(
-        index=row[0], session_id=session, s=_exchange(
-            flow, session, row, MessageType.SIGN_ROUND2,
-            {"challenge": format(c, "x"), "signer_set": signer_set},
-            "s", group.q,
-            lambda signer: signer.round2(session, c, signer_set).s))
-        for row in chosen]
+    try:
+        commitments = [NonceCommitment(
+            index=row[0], session_id=session, commitment=_exchange(
+                flow, row, MessageType.SIGN_ROUND1, {"signer": row[0]},
+                "R", group.p,
+                lambda signer: signer.round1(session, flow.rng).commitment))
+            for row in chosen]
+        R = 1
+        for com in commitments:
+            R = R * com.commitment % group.p
+        c = compute_challenge_scalar(R, pd.pubkey.y, message_bytes, group)
+        partials = [PartialSignature(
+            index=row[0], session_id=session, s=_exchange(
+                flow, row, MessageType.SIGN_ROUND2,
+                {"challenge": format(c, "x"), "signer_set": signer_set},
+                "s", group.q,
+                lambda signer: signer.round2(session, c, signer_set).s))
+            for row in chosen]
+    finally:
+        for _, _, signer in chosen:
+            signer.abort_session(session)
     return combine(commitments, partials, pd.pubkey, message_bytes)

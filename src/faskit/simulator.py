@@ -33,7 +33,8 @@ from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field, replace
 
 from .algebra import get_group
-from .authscore import FusionPolicy, Modality, phe_encrypt, phe_keygen
+from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
+                        phe_encrypt, phe_keygen)
 from .errors import ConfigError, NondeterminismError, ParameterError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
@@ -113,8 +114,7 @@ class ScenarioConfig:
             user_id="", policy=self.policy(), score_mode=self.score_mode)
         yield "group", lambda: get_group(self.group)
         yield "code_r", lambda: CodeParams(m=1, r=_typed(self.code_r, int))
-        yield "paillier_bits", lambda: _require(
-            _typed(self.paillier_bits, int) >= 16, "must be >= 16")
+        yield "paillier_bits", self._check_paillier_bits
         yield "seed", lambda: _require(
             0 <= _typed(self.seed, int) < 2 ** 64,
             "must be a 64-bit unsigned integer")
@@ -127,6 +127,16 @@ class ScenarioConfig:
             or {_typed(i, int) for i in self.present_devices}
             <= set(self._device_indices()),
             "names a device that is not enrolled")
+
+    def _check_paillier_bits(self) -> None:
+        """At least 16; for cloud-encrypted scoring phe_keygen's n, always
+        above 2^(bits-2), must also exceed the largest fused score."""
+        least = 16
+        if self.score_mode == "cloud-encrypted":
+            bound = max_fused_plaintext(self.policy())
+            least = max(least, (bound - 1).bit_length() + 2)
+        _require(_typed(self.paillier_bits, int) >= least,
+                 f"must be >= {least}")
 
     def _device_indices(self) -> list:
         start = 2 if self.pd_holds_share and self.case != 1 else 1

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from faskit.authscore import (WEIGHT_SCALE, AuthScore, FusionPolicy, Modality,
                               ModalityReading, fuse_encrypted, fuse_local,
-                              gate, keypair_from_primes, modality_means,
-                              normalize_fused, phe_add, phe_decrypt,
-                              phe_encrypt, phe_keygen, phe_scale,
-                              quantize_score, weighted_mean)
+                              gate, keypair_from_primes, max_fused_plaintext,
+                              modality_means, normalize_fused, phe_add,
+                              phe_decrypt, phe_encrypt, phe_keygen,
+                              phe_scale, quantize_score, weighted_mean)
 from faskit.errors import ParameterError
 
 G, L, H = Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT
@@ -289,3 +289,13 @@ def test_fuse_encrypted_rejects_zero_and_negative_weights():
     for weights in ({G: 0, L: 0}, {H: 5}, {G: 5, L: -1}, {G: -1}):
         with pytest.raises(ParameterError):
             fuse_encrypted(cts, weights, public)
+
+
+def test_max_fused_plaintext_is_the_all_perfect_weighted_sum():
+    # Every modality scoring 100 fuses to SCORE_SCALE * sum(w): 10^8 with
+    # weights summing to 1.
+    policy = FusionPolicy(weights={Modality.GAIT: 0.4, Modality.LOCATION: 0.3,
+                                   Modality.HEARTBEAT: 0.3})
+    weights = policy.integer_weights()
+    assert max_fused_plaintext(policy) == 10 ** 8 \
+        == sum(w * quantize_score(1.0) for w in weights.values())

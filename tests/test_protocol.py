@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from faskit import protocol
 from faskit.algebra import get_group
-from faskit.authscore import (FusionPolicy, Modality, phe_keygen,
-                              quantize_score)
+from faskit.authscore import (FusionPolicy, Modality, max_fused_plaintext,
+                              phe_keygen, quantize_score)
 from faskit.errors import (ParameterError, PolicyError, RegistrationError)
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
@@ -101,6 +101,23 @@ def test_message_wire_round_trip():
         message_from_wire(line.replace("FAS-v1", "FAS-v0"))
 
 
+MALFORMED_WIRE_LINES = {
+    "list": "[]",
+    "number": "7",
+    "version-only": '{"v":"FAS-v1"}',
+    "unknown-type": message_to_wire(Message(
+        type=MessageType.CHALLENGE, sender="sp1", receiver="pd",
+        session_id="s", payload={})).replace("Challenge", "Teleport"),
+    "not-json": "FAS-v1 Challenge",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WIRE_LINES))
+def test_malformed_wire_line_is_a_parameter_error(name):
+    with pytest.raises(ParameterError, match="malformed wire line"):
+        message_from_wire(MALFORMED_WIRE_LINES[name])
+
+
 def test_signing_message_byte_layout():
     assert signing_message_bytes("sp1", b"\x01\x02") == b"FAS-v1sp1\x01\x02"
 
@@ -178,6 +195,78 @@ def test_failed_enrolment_writes_nothing(sim_group):
         assert pd.helper_store == {}
         assert pd._own_signer is None and pd.pubkey is None
         assert pd.strategy is None
+
+
+def enrol_devices(pd, dds, case, pd_holds_share, seed, **kwargs):
+    """Enrol pd with dds under case (t=1, n=3) and give every device a
+    reading of 0.9 and, for CASE3, the template it enrolled; a device's
+    template depends on its index alone. Returns the SP record."""
+    code = CodeParams(m=SIM.q.bit_length(), r=3)
+    templates = {dd.index: format(
+        random.Random(dd.index).getrandbits(code.codeword_length),
+        f"0{code.codeword_length}b") for dd in dds}
+    for dd in dds:
+        dd.current_scores = {dd.modalities[0]: 0.9}
+        dd.current_template = templates[dd.index]
+    strategy = CaseStrategy(case=case, pd_holds_share=pd_holds_share,
+                            code=code if case is Case.CASE3 else None)
+    return enroll(user_id="user1", strategy=strategy,
+                  params=ThresholdParams(t=1, n=3), group=SIM, pd=pd,
+                  dds=dds, rng=random.Random(seed),
+                  enrolment_templates=templates, **kwargs)
+
+
+def gateway_and_devices_1_to_3(score_mode="local-bypass"):
+    return (PersonalDevice(user_id="user1", policy=make_policy(),
+                           score_mode=score_mode),
+            [DumbDevice(index=i, modalities=[MODS[i - 1]]) for i in (1, 2, 3)])
+
+
+def persistent_states(pd, dds):
+    return [pd.persistent_state()] + [dd.persistent_state() for dd in dds]
+
+
+REENROLMENTS = {
+    "case1-to-case2": ((Case.CASE1, False), (Case.CASE2, False)),
+    "case2-gateway-share-to-none": ((Case.CASE2, True), (Case.CASE2, False)),
+    "case2-to-gateway-share": ((Case.CASE2, False), (Case.CASE2, True)),
+    "case2-to-case3": ((Case.CASE2, False), (Case.CASE3, False)),
+    "case3-to-case2": ((Case.CASE3, False), (Case.CASE2, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REENROLMENTS))
+def test_reenrolment_replaces_every_slot(name):
+    # The gateway and devices 1-3 are enrolled twice. The second
+    # enrolment must leave exactly the state that it alone leaves on a
+    # fresh gateway and fresh devices (no old share on a device or the
+    # gateway, no old helper data), and then grant.
+    before, after = REENROLMENTS[name]
+    pd, dds = gateway_and_devices_1_to_3()
+    enrol_devices(pd, dds, *before, seed=1)
+    record = enrol_devices(pd, dds, *after, seed=2)
+    fresh_pd, fresh_dds = gateway_and_devices_1_to_3()
+    enrol_devices(fresh_pd, fresh_dds, *after, seed=2)
+    states = persistent_states(fresh_pd, fresh_dds)
+    assert persistent_states(pd, dds) == states
+    sp = ServiceProvider(sp_id="sp1", rng=random.Random(3))
+    sp.register_user(record)
+    _, result = authenticate(pd, dds, sp, random.Random(4))
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert persistent_states(pd, dds) == states
+
+
+@pytest.mark.parametrize("case", [Case.CASE2, Case.CASE3])
+def test_repeated_device_index_is_refused_before_any_write(case):
+    pd, dds = gateway_and_devices_1_to_3()
+    enrol_devices(pd, dds, case, False, seed=1)
+    twin = DumbDevice(index=2, modalities=[L])
+    states, pubkey = persistent_states(pd, dds + [twin]), pd.pubkey
+    with pytest.raises(ParameterError, match="index 2"):
+        enrol_devices(pd, [dds[0], dds[1], twin, dds[2]], case, True,
+                      seed=2)
+    assert persistent_states(pd, dds + [twin]) == states
+    assert pd.pubkey is pubkey
 
 
 def test_case3_strategy_needs_code_parameters():
@@ -549,12 +638,28 @@ def test_failed_ceremony_leaves_no_nonce_on_the_gateway(sim_group):
     assert list(pd._own_signer._sessions.values()) == [None]
 
 
+@pytest.mark.parametrize("pd_holds_share", [False, True])
+def test_failed_ceremony_leaves_no_nonce_on_a_device(sim_group,
+                                                     pd_holds_share):
+    # The first device to answer round 1 answers garbage, after it drew
+    # its nonce; the ceremony ends there.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                       pd_holds_share=pd_holds_share)
+    messages, result = authenticate(pd, dds, sp, rng, transit_hook=
+                                    replace_first(MessageType.SIGN_ROUND1,
+                                                  set_field("R", "zz")))
+    assert result.payload["reason"] == "invalid-partial"
+    session = messages[0].session_id
+    assert dds[0]._signer._sessions == {session: None}
+    assert not any(dd._signer.has_nonce(session) for dd in dds)
+
+
 def test_device_without_a_current_template_regenerates_nothing(sim_group):
     pd, dds, _, _, _, _ = make_user(Case.CASE3, 1, 3, sim_group)
     dd = dds[0]
     dd.current_template = None
-    assert not dd.receive_helper(pd.helper_store[dd.index], pd.commitments,
-                                 sim_group, "s1")
+    assert dd.receive_helper(pd.helper_store[dd.index], pd.commitments,
+                             sim_group) is None
     assert dd._signer is None
 
 
@@ -872,6 +977,23 @@ def test_cloud_encrypted_enrolment_needs_a_paillier_keypair(sim_group):
         enroll(user_id="user1", strategy=CaseStrategy(case=Case.CASE2),
                params=ThresholdParams(t=1, n=3), group=sim_group, pd=pd,
                dds=dds, rng=random.Random(1))
+
+
+def test_cloud_encrypted_enrolment_refuses_a_modulus_the_score_wraps():
+    # The test policy's fused plaintext reaches 100 * 10^6: more than
+    # this 16-bit n, less than this 64-bit one.
+    small, large = (phe_keygen(bits, random.Random(bits)) for bits in (16, 64))
+    assert small.public.n <= max_fused_plaintext(make_policy()) \
+        < large.public.n
+    pd, dds = gateway_and_devices_1_to_3("cloud-encrypted")
+    with pytest.raises(ParameterError, match="fused score"):
+        enrol_devices(pd, dds, Case.CASE2, False, seed=1,
+                      paillier_keypair=small)
+    assert pd.pubkey is None and pd.paillier is None
+    assert all("key_share_value" not in dd.persistent_state()
+               for dd in dds)
+    enrol_devices(pd, dds, Case.CASE2, False, seed=1, paillier_keypair=large)
+    assert pd.paillier is large
 
 
 @pytest.mark.parametrize("ciphertext", ["-1", "n^2", "n^2+1"])

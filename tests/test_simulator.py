@@ -340,3 +340,23 @@ def test_forged_encrypted_score_is_decrypted_and_overridden(monkeypatch):
     assert report.reason_counts == {"score": 10}
     assert len(decrypted) == 10
     assert modes == ["local"] * 10
+
+
+def test_cloud_encrypted_paillier_bits_must_hold_the_fused_score(
+        monkeypatch):
+    # The default weights fuse to at most 10^8 < 2^27, and phe_keygen's n
+    # exceeds 2^(bits-2): 29 bits is the least size that fits, and at it
+    # the gateway believes the service in every trial. Other score modes
+    # keep the floor of 16.
+    with pytest.raises(ConfigError, match="^paillier_bits: must be >= 29"):
+        small(case=2, score_mode="cloud-encrypted", paillier_bits=28
+              ).validate()
+    small(case=2, score_mode="cloud-plain", paillier_bits=16).validate()
+    modes = []
+    real = protocol._compute_auth_score
+    monkeypatch.setattr(protocol, "_compute_auth_score",
+                        lambda *args: modes.append(real(*args)) or modes[-1])
+    report = run_scenario(small(case=2, score_mode="cloud-encrypted",
+                                paillier_bits=29, trials=20, seed=1))
+    assert report.grants == 20
+    assert [score.mode for score in modes] == ["cloud"] * 20
