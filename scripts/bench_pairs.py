@@ -1,6 +1,9 @@
 """Compare two checkouts with authbench and write the result as JSON.
 
-Runs `authbench/run.py` in the parent and the change checkout as
+First it byte-compiles `src` and `authbench` in both checkouts, so that
+no run compiles source: compiling counts toward `peak_rss_mb`, and a
+change's line count alone would move that metric. Then it runs
+`authbench/run.py` in the parent and the change checkout as
 interleaved pairs (which side runs first alternates), one seed per pair,
 untraced, for each workload; the pairs use seeds 1, 2, ... and the run
 length BENCHMARK.json fixes. Then it makes one traced run per side on
@@ -102,8 +105,13 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    result = {"run_seconds": seconds, "host": host(), "workloads": {},
-              "traced": {}}
+    compile_command = [sys.executable, "-m", "compileall", "-q", "src",
+                       "authbench"]
+    for checkout in sides.values():
+        subprocess.run(compile_command, cwd=checkout, check=True)
+    result = {"run_seconds": seconds, "host": host(),
+              "compiled_first": " ".join(["python"] + compile_command[1:]),
+              "workloads": {}, "traced": {}}
     for workload, count in pairs:
         runs = {"parent": [], "change": []}
         for i in range(count):

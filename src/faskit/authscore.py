@@ -47,10 +47,6 @@ class ModalityReading:
         if not 0.0 <= self.score <= 1.0:
             raise ParameterError(f"score must be in [0,1], got {self.score}")
 
-    def to_json(self) -> dict:
-        return {"device_id": self.device_id, "modality": self.modality.value,
-                "score": self.score, "timestamp": self.timestamp}
-
 
 @dataclass(frozen=True)
 class FusionPolicy:
@@ -213,18 +209,26 @@ def phe_keygen(bits: int, rng: random.Random) -> PheKeypair:
     # With an odd `bits`, q may be 2p + 1, and then p divides q - 1.
     while q == p or math.gcd(p * q, (p - 1) * (q - 1)) != 1:
         q = _gen_prime(bits - half, rng)
-    return keypair_from_primes(p, q)
+    return _keypair(p, q)
 
 
 def keypair_from_primes(p: int, q: int) -> PheKeypair:
+    """The keypair over p and q, which must be distinct primes with
+    gcd(pq, (p-1)(q-1)) = 1."""
     if p == q:
         raise ParameterError("Paillier primes must differ")
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ParameterError("Paillier factors must be prime")
-    n = p * q
-    if math.gcd(n, (p - 1) * (q - 1)) != 1:
+    if math.gcd(p * q, (p - 1) * (q - 1)) != 1:
         raise NonInvertibleError(
             f"Paillier needs gcd(n, (p-1)(q-1)) = 1; fails for {p}, {q}")
+    return _keypair(p, q)
+
+
+def _keypair(p: int, q: int) -> PheKeypair:
+    """The keypair over p and q, already checked as keypair_from_primes
+    checks them."""
+    n = p * q
     p_sq, q_sq = p * p, q * q
     return PheKeypair(public=PhePublicKey(n=n, g=n + 1), p=p, q=q,
                       p_sq=p_sq, q_sq=q_sq,

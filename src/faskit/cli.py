@@ -160,7 +160,8 @@ def _cmd_auth(args) -> int:
                                               % len(scores)]}
         if templates is not None:
             dd.current_template = templates[dd.index]
-    readings = [r for dd in dds for r in dd.read_sensor(0)]
+    readings = [ModalityReading(dd.device_id, m, score, 0)
+                for dd in dds for m, score in dd.current_scores.items()]
     fused = fuse_local(readings, policy, 0)
 
     req, challenge = request_challenge("user1", sp, now=0)

@@ -47,7 +47,7 @@ from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         phe_encrypt, quantize_score, weighted_mean)
 from .errors import (CorruptedShareError, InsufficientSharesError,
                      InvalidPartialError, ParameterError, PolicyError,
-                     RegistrationError)
+                     RegistrationError, SessionError)
 from .fuzzyextractor import (CodeParams, HelperData, bits_to_scalar,
                              fe_enroll, fe_reproduce, scalar_to_bits)
 from .sharing import (FeldmanCommitments, Share, ThresholdParams,
@@ -265,9 +265,10 @@ class FaspService(_Transcript):
     carry no SP identifier, so the service cannot tell where the user is
     authenticating."""
 
-    def __init__(self, fasp_id: str = "fasp"):
+    fasp_id = "fasp"
+
+    def __init__(self):
         super().__init__()
-        self.fasp_id = fasp_id
         self._users: dict = {}   # user -> (policy, Paillier key or None)
         self._plain_scores_seen: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
@@ -303,8 +304,7 @@ class FaspService(_Transcript):
             if pub is None:
                 raise PolicyError(f"no encryption key for user {user_id!r}")
             ciphertexts = _request_values(
-                fields, "ciphertexts",
-                lambda v: _ciphertext(v, pub.n_sq))
+                fields, "ciphertexts", lambda v: _hex_below(v, pub.n_sq))
             weights = policy.integer_weights(ciphertexts or ())
             if sum(weights.values()) > 0:
                 fused = fuse_encrypted(ciphertexts, weights, pub)
@@ -337,12 +337,13 @@ def _plain_score(value) -> int:
     return score
 
 
-def _ciphertext(value, n_sq: int) -> int:
-    """A Paillier ciphertext, which lies in [0, n^2)."""
-    c = int(value, 16)
-    if not 0 <= c < n_sq:
-        raise ValueError(f"ciphertext outside [0, {n_sq})")
-    return c
+def _hex_below(value, bound: int) -> int:
+    """The number the hex string `value` from another party encodes;
+    ValueError unless it lies in [0, bound)."""
+    number = int(value, 16)
+    if not 0 <= number < bound:
+        raise ValueError("hex number out of range")
+    return number
 
 
 def _request_values(payload: dict, key: str, parse) -> dict | None:
@@ -381,9 +382,12 @@ class DumbDevice(_Transcript):
         self.current_template: str | None = None
         self._signer: DeviceSigner | None = None
 
-    def read_sensor(self, now: int):
-        return [ModalityReading(device_id=self.device_id, modality=m,
-                                score=self.current_scores[m], timestamp=now)
+    def read_sensor(self, now: int) -> list:
+        """The SensorReading payloads the device sends now, one per
+        modality it has a score for. The score goes out as the sensor
+        reports it; the PD judges it and drops a reading it cannot use."""
+        return [{"device_id": self.device_id, "modality": m.value,
+                 "score": self.current_scores[m], "timestamp": now}
                 for m in self.modalities if m in self.current_scores]
 
     def install_key_share(self, share: Share | None,
@@ -576,7 +580,7 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         for reading in dd.read_sensor(now):
             msg = Message(type=MessageType.SENSOR_READING,
                           sender=dd.device_id, receiver=pd.entity_id,
-                          session_id=session, payload=reading.to_json())
+                          session_id=session, payload=reading)
             parsed = _parse_reading(flow.send(msg, dd, pd).payload)
             if parsed is not None:
                 flow.readings.append(parsed)
@@ -595,6 +599,9 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         return flow.messages + [_denied(pd, session, "insufficient-devices")]
     except InvalidPartialError:
         return flow.messages + [_denied(pd, session, "invalid-partial")]
+    except SessionError:
+        # A signer already used this session id: the SP repeated one.
+        return flow.messages + [_denied(pd, session, "session-reused")]
 
     # Step 5: answer the challenge.
     response = Message(type=MessageType.AUTH_RESPONSE, sender=pd.entity_id,
@@ -666,8 +673,8 @@ def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
 def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
                  ciphertexts: dict) -> float | None:
     """The fused score a ScoreResponse claims, or None when its payload
-    does not parse, its ciphertext lies outside [0, n^2) or the present
-    modalities' integer weights sum to 0.
+    does not parse (an encrypted reply's ciphertext must be hex in
+    [0, n^2)) or the present modalities' integer weights sum to 0.
 
     `scores` are the quantized scores the PD sent, and `ciphertexts`
     their encryptions. An honest encrypted reply is the product
@@ -679,12 +686,12 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
     try:
         if pd.score_mode == "cloud-plain":
             return float(reply.payload["value"])
-        fused = int(reply.payload["ciphertext"], 16)
+        public = pd.paillier.public
+        fused = _hex_below(reply.payload["ciphertext"], public.n_sq)
     except _MALFORMED:
         return None
-    public = pd.paillier.public
     weights = pd.policy.integer_weights(scores)
-    if not 0 <= fused < public.n_sq or sum(weights.values()) <= 0:
+    if sum(weights.values()) <= 0:
         # Weights below 0.5 / WEIGHT_SCALE round to 0, and an honest
         # service sends no value for them.
         return None
@@ -740,13 +747,12 @@ def _exchange(flow: _Flow, signer_row, kind: MessageType, ask: dict,
                                         key: format(sign(signer), "x")}),
                        dd, pd)
     try:
-        sender, value = answer.payload["index"], int(answer.payload[key], 16)
+        if answer.payload["index"] != index:
+            raise ValueError("the answer names another signer")
+        return _hex_below(answer.payload[key], bound)
     except _MALFORMED as exc:
         raise InvalidPartialError(
-            f"signer {index}: malformed {kind.value} answer") from exc
-    if sender != index or not 0 <= value < bound:
-        raise InvalidPartialError(f"signer {index}: bad {kind.value} answer")
-    return value
+            f"signer {index}: bad {kind.value} answer: {exc}") from exc
 
 
 def _sign_ceremony(flow: _Flow, message_bytes: bytes) -> Signature:

@@ -114,15 +114,14 @@ def verify_share(share: Share, commitments: FeldmanCommitments,
 def reconstruct(shares, field: PrimeField) -> Scalar:
     """Interpolate the shares at zero: returns f(0) = the shared secret.
 
-    The caller supplies at least t+1 shares with distinct indices;
-    supplying more than t+1 consistent shares is harmless.
+    The caller supplies at least t+1 shares with distinct indices
+    (lagrange_coefficient refuses a repeat); supplying more than t+1
+    consistent shares is harmless.
     """
     shares = list(shares)
     if not shares:
         raise ParameterError("no shares supplied")
     indices = [s.index for s in shares]
-    if len(set(indices)) != len(indices):
-        raise ParameterError("duplicate share indices")
     total = 0
     for s in shares:
         lam = lagrange_coefficient(indices, s.index, field)

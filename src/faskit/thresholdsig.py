@@ -125,11 +125,8 @@ def compute_challenge_scalar(R: GroupElement, y: GroupElement,
 def sign_round2(key_share: KeyShare, nonce: Scalar, challenge: Scalar,
                 signer_set, field: PrimeField, session_id: str = "",
                 ) -> PartialSignature:
-    """s_i = k_i + c * lambda_i * x_i mod q for this device's index."""
-    signer_set = sorted(signer_set)
-    if key_share.index not in signer_set:
-        raise ParameterError(
-            f"device {key_share.index} is not in the signer set {signer_set}")
+    """s_i = k_i + c * lambda_i * x_i mod q for this device's index;
+    lagrange_coefficient refuses a signer set without that index."""
     lam = lagrange_coefficient(signer_set, key_share.index, field)
     s = (nonce + challenge * lam % field.q * key_share.value) % field.q
     return PartialSignature(index=key_share.index, s=s, session_id=session_id)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -654,6 +655,25 @@ def test_failed_ceremony_leaves_no_nonce_on_a_device(sim_group,
     assert not any(dd._signer.has_nonce(session) for dd in dds)
 
 
+@pytest.mark.parametrize("case, pd_holds_share", [
+    (Case.CASE1, False), (Case.CASE2, False), (Case.CASE2, True)])
+def test_reused_session_id_is_denied(sim_group, case, pd_holds_share):
+    # A provider that restarts under the same sp_id numbers its sessions
+    # from 1 again, so the gateway's first signer sees a session id it
+    # has already signed under.
+    pd, dds, sp, _, rng, record = make_user(case, 1, 3, sim_group,
+                                            pd_holds_share=pd_holds_share)
+    assert authenticate(pd, dds, sp, rng)[1].payload["granted"] is True
+    restarted = ServiceProvider(sp_id=sp.sp_id, rng=rng)
+    restarted.register_user(record)
+    messages, result = authenticate(pd, dds, restarted, rng)
+    assert result.payload == {"granted": False, "reason": "session-reused"}
+    session = messages[0].session_id
+    signers = [pd._own_signer] + [dd._signer for dd in dds]
+    assert not any(s.has_nonce(session) for s in signers if s is not None)
+    assert all(m.type is not MessageType.SIGN_ROUND2 for m in messages)
+
+
 def test_device_without_a_current_template_regenerates_nothing(sim_group):
     pd, dds, _, _, _, _ = make_user(Case.CASE3, 1, 3, sim_group)
     dd = dds[0]
@@ -780,6 +800,26 @@ def test_mangled_message_ends_in_a_decision(sim_group, mutation):
         == signers
 
 
+@pytest.mark.parametrize("others", [0.9, 0.1])
+@pytest.mark.parametrize("score", [float("nan"), 1.5, -0.1, "x", None],
+                         ids=["nan", "1.5", "-0.1", "x", "None"])
+def test_device_reporting_a_bad_score_is_dropped(sim_group, score, others):
+    # dd1's sensor reports a score the gateway cannot use. dd1 sends it
+    # as it is; the gateway drops it and decides on dd2 and dd3 alone.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+    dds[0].current_scores = {G: score}
+    for dd in dds[1:]:
+        dd.current_scores = {dd.modalities[0]: others}
+    messages, result = authenticate(pd, dds, sp, rng)
+    sent = [m.payload["score"] for m in messages
+            if m.type is MessageType.SENSOR_READING and m.sender == "dd1"]
+    assert len(sent) == 1 and sent[0] is score
+    if others >= pd.policy.theta:
+        assert result.payload == {"granted": True, "reason": "ok"}
+    else:
+        assert result.payload == {"granted": False, "reason": "score"}
+
+
 @pytest.mark.parametrize("nonce", [["00"], {"nonce": "00"}, None, 7])
 def test_response_with_a_mangled_nonce_is_unknown(sim_group, nonce):
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
@@ -866,6 +906,59 @@ def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
         sp.sp_id, bytes.fromhex(response.payload["nonce"]))
     assert verify_signature(record.pubkey, signed, Signature.from_json(
         response.payload["signature"]))
+
+
+_MESSAGE_TYPES = list(MessageType)
+
+# Each header a forger rewrites in transit, and the forgeries it tries on
+# a message: a plausible value and one of the wrong kind.
+HEADER_FORGERIES = {
+    "type": (lambda m: _MESSAGE_TYPES[
+        (_MESSAGE_TYPES.index(m.type) + 1) % len(_MESSAGE_TYPES)],
+        lambda m: None),
+    "session_id": (lambda m: "sp1-s999999", lambda m: None),
+    "sender": (lambda m: m.receiver, lambda m: None),
+    "receiver": (lambda m: m.sender, lambda m: None),
+}
+
+
+@pytest.mark.parametrize("case", [Case.CASE2, Case.CASE3])
+@pytest.mark.parametrize("score_mode", ["local-bypass", "cloud-plain",
+                                        "cloud-encrypted"])
+@pytest.mark.parametrize("header", sorted(HEADER_FORGERIES))
+def test_forged_header_in_transit_ends_in_a_decision(case, score_mode,
+                                                     header):
+    # Each message of a flow in turn has `header` forged in transit. The
+    # flow ends in a denial with a reason, or in a grant whose signature
+    # verifies under the key the SP registered. The SP verifies the PD's
+    # last message whenever it crossed the transit hook, whatever its
+    # headers now say; the PD's own denial never crosses it.
+    for target in range(len(transit_types(case, score_mode))):
+        for forge in HEADER_FORGERIES[header]:
+            pd, dds, sp, fasp, rng, record = make_user(
+                case, 1, 3, SIM, score_mode=score_mode)
+            crossed = []
+
+            def hook(msg):
+                if len(crossed) == target:
+                    msg = dataclasses.replace(msg, **{header: forge(msg)})
+                crossed.append(msg)
+                return msg
+
+            _, challenge = request_challenge(pd.user_id, sp, now=0)
+            flow = pd_run_authentication(pd, dds, challenge, 0, rng,
+                                         fasp=fasp, transit_hook=hook)
+            last = flow[-1]
+            result = sp.verify(last, now=0) if last is crossed[-1] else last
+            assert result.type is MessageType.AUTH_RESULT
+            if not result.payload["granted"]:
+                assert result.payload["reason"] not in ("", "ok")
+                continue
+            signed = signing_message_bytes(
+                sp.sp_id, bytes.fromhex(last.payload["nonce"]))
+            assert verify_signature(record.pubkey, signed,
+                                    Signature.from_json(
+                                        last.payload["signature"]))
 
 
 def test_service_provider_forgets_nonces_past_the_ttl(sim_group):
