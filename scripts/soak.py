@@ -34,8 +34,9 @@ from faskit.algebra import get_group
 from faskit.authscore import FusionPolicy, Modality, phe_keygen
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
-                             PersonalDevice, ServiceProvider, enroll,
-                             pd_run_authentication, request_challenge)
+                             PersonalDevice, ServiceProvider, conclude,
+                             enroll, pd_run_authentication,
+                             request_challenge)
 from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import _SESSION_WINDOW
 
@@ -93,7 +94,7 @@ class Soak:
             flow = pd_run_authentication(self.pd, self.dds, challenge,
                                          now=self.now, rng=self.rng,
                                          fasp=self.fasp)
-            result = self.sp.verify(flow[-1], now=self.now)
+            result = conclude(self.pd, self.sp, flow, now=self.now)[-1]
             if not result.payload["granted"]:
                 sys.exit(f"session {self.now} denied: {result.payload}")
 

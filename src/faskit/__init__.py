@@ -24,8 +24,9 @@ from .fuzzyextractor import (CodeParams, HelperData, decode, encode,
                              scalar_to_bits)
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, RegistrationRecord,
-                       ServiceProvider, enroll, pd_run_authentication,
-                       request_challenge, signing_message_bytes)
+                       ServiceProvider, conclude, enroll,
+                       pd_run_authentication, request_challenge,
+                       signing_message_bytes)
 from .sharing import (FeldmanCommitments, Share, ThresholdParams,
                       reconstruct, share_secret, verify_share)
 from .simulator import (ScenarioConfig, SimReport, estimate_rates,

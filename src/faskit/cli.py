@@ -24,8 +24,8 @@ from .authscore import (FusionPolicy, Modality, ModalityReading,
 from .errors import ConfigError, FaskitError, ParameterError
 from .fuzzyextractor import CodeParams, encode, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, PersonalDevice,
-                       ServiceProvider, enroll, pd_run_authentication,
-                       request_challenge, MessageType)
+                       ServiceProvider, conclude, enroll,
+                       pd_run_authentication, request_challenge)
 from .sharing import Share, ThresholdParams, reconstruct, share_secret, \
     verify_share
 from .simulator import ScenarioConfig, run_scenario
@@ -166,11 +166,7 @@ def _cmd_auth(args) -> int:
 
     req, challenge = request_challenge("user1", sp, now=0)
     flow = pd_run_authentication(pd, dds, challenge, now=0, rng=rng)
-    last = flow[-1]
-    if last.type is MessageType.AUTH_RESPONSE:
-        result = sp.verify(last, now=0)
-    else:
-        result = last
+    result = conclude(pd, sp, flow, now=0)[-1]
     granted = bool(result.payload["granted"])
     out = {
         "granted": granted,

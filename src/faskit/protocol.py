@@ -566,8 +566,12 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     """Run the PD-orchestrated part of the flow.
 
     Returns the ordered list of messages it produced, ending with either
-    an AuthResponse for the SP or a locally emitted denied AuthResult.
-    If the score gate fails, no signing message is ever sent.
+    the AuthResponse as it reached the SP or the PD's own denied
+    AuthResult; `conclude` ends the session from that list. If the score
+    gate fails, no signing message is ever sent. `transit_hook`, if
+    given, is called with each message that crosses a link and must
+    return the Message to deliver in its place; dropping a message is an
+    availability threat, which is out of scope.
     """
     session = challenge.session_id
     flow = _Flow(pd, dds, session, fasp, rng, transit_hook)
@@ -610,6 +614,20 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
                                 "signature": signature.to_json()})
     flow.send(response, pd, None)
     return flow.messages
+
+
+def conclude(pd: PersonalDevice, sp: ServiceProvider, flow: list,
+             now: int) -> list:
+    """End a session: `flow` with the session's verdict appended last.
+
+    The PD's own denial is already the verdict; it is the last message
+    the PD recorded and never crossed the transit hook. Anything else is
+    what reached the SP, which judges it whatever its headers now say.
+    """
+    last = flow[-1]
+    if last is pd.transcript[-1] and last.type is MessageType.AUTH_RESULT:
+        return list(flow)
+    return [*flow, sp.verify(last, now)]
 
 
 def _parse_reading(payload: dict) -> ModalityReading | None:

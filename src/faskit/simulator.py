@@ -38,8 +38,8 @@ from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
 from .errors import ConfigError, NondeterminismError, ParameterError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
-                       MessageType, PersonalDevice, ServiceProvider, enroll,
-                       message_to_wire, pd_run_authentication,
+                       MessageType, PersonalDevice, ServiceProvider, conclude,
+                       enroll, message_to_wire, pd_run_authentication,
                        request_challenge)
 from .sharing import ThresholdParams
 
@@ -286,35 +286,28 @@ class _Trial:
         return [dd for dd in self.dds if dd.index in present]
 
 
-def _submit(trial: _Trial, messages: list) -> tuple:
-    """(messages, verdict): the SP verifies the last message when it is an
-    AuthResponse; otherwise it is already the gateway's denial."""
-    if messages[-1].type is MessageType.AUTH_RESPONSE:
-        messages.append(trial.sp.verify(messages[-1], now=0))
-    return messages, messages[-1]
-
-
-def _run_normal_trial(trial: _Trial) -> tuple:
+def _run_normal_trial(trial: _Trial) -> list:
     """Genuine/impostor/eavesdrop/tamper/score_inflate flow: full five
-    steps, outcome taken from the final AuthResult."""
+    steps, the session's verdict last."""
     make_hook = trial.adversary.make_hook
     req, challenge = request_challenge("user1", trial.sp, now=0)
-    return _submit(trial, [req, challenge, *pd_run_authentication(
+    flow = pd_run_authentication(
         trial.pd, trial.live_devices(), challenge, now=0,
         rng=trial.rng_nonce, fasp=trial.fasp,
-        transit_hook=make_hook(trial) if make_hook else None)])
+        transit_hook=make_hook(trial) if make_hook else None)
+    return [req, challenge, *conclude(trial.pd, trial.sp, flow, now=0)]
 
 
-def _run_replay_trial(trial: _Trial) -> tuple:
-    """Genuine flow, then the recorded AuthResponse is submitted again.
-    The trial outcome is the fate of the replayed submission."""
-    messages, first = _run_normal_trial(trial)
-    if messages[-2].type is not MessageType.AUTH_RESPONSE:
-        return messages, first
-    return _submit(trial, messages + [messages[-2]])
+def _run_replay_trial(trial: _Trial) -> list:
+    """Genuine flow, then the AuthResponse the SP judged is submitted
+    again. The trial outcome is the fate of the replayed submission."""
+    messages = _run_normal_trial(trial)
+    if messages[-1].sender != trial.sp.sp_id:   # the gateway denied
+        return messages
+    return messages + [messages[-2], trial.sp.verify(messages[-2], now=0)]
 
 
-def _run_stolen_k_trial(trial: _Trial) -> tuple:
+def _run_stolen_k_trial(trial: _Trial) -> list:
     """A rogue gateway runs the public flow with only what a thief holds:
     the public key, commitments and leaked helper data, plus k stolen
     devices with their persistent state and the thief's own (impostor)
@@ -322,7 +315,8 @@ def _run_stolen_k_trial(trial: _Trial) -> tuple:
     0, so its gate opens on any score. It holds no PD share, so with
     k <= t it can never assemble a signature. Its traffic to the stolen
     devices stays off the recorded links: the trial records the request,
-    the challenge, the flow's last message and the SP's verdict."""
+    the challenge, the flow's last message and, if that reached the SP,
+    the SP's verdict."""
     pd = trial.pd
     rogue = PersonalDevice(user_id=pd.user_id,
                            policy=replace(pd.policy, theta=0.0))
@@ -332,10 +326,10 @@ def _run_stolen_k_trial(trial: _Trial) -> tuple:
     rogue.commitments = pd.commitments
     rogue.helper_store = pd.helper_store
     req, challenge = request_challenge(pd.user_id, trial.sp, now=0)
-    last = pd_run_authentication(
+    flow = pd_run_authentication(
         rogue, trial.dds[:trial.config.adversary_k], challenge, now=0,
-        rng=trial.rng_nonce)[-1]
-    return _submit(trial, [req, challenge, last])
+        rng=trial.rng_nonce)
+    return [req, challenge, *conclude(rogue, trial.sp, flow[-1:], now=0)]
 
 
 def _make_tamper_hook(trial: _Trial):
@@ -431,11 +425,11 @@ def run_scenario(config: ScenarioConfig, transcript=None) -> SimReport:
                      "message_types_with_plaintext_scores": set()}
 
     for trial_index in range(config.trials):
-        messages, result = adversary.run(_Trial(config, trial_index))
+        messages = adversary.run(_Trial(config, trial_index))
         if eavesdrop is not None:
             _scan_plaintext_scores(messages, eavesdrop)
-        # A grant's reason is "ok"; a denial's never is.
-        reasons.append(result.payload["reason"])
+        # The verdict is last; a grant's reason is "ok", a denial's never.
+        reasons.append(messages[-1].payload["reason"])
         for msg in messages:
             message_counts[msg.type.value] += 1
             line = message_to_wire(msg) + "\n"

@@ -16,9 +16,10 @@ from faskit.errors import (ParameterError, PolicyError, RegistrationError)
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
                              Message, MessageType, PersonalDevice,
-                             ServiceProvider, enroll, message_from_wire,
-                             message_to_wire, pd_run_authentication,
-                             request_challenge, signing_message_bytes)
+                             ServiceProvider, conclude, enroll,
+                             message_from_wire, message_to_wire,
+                             pd_run_authentication, request_challenge,
+                             signing_message_bytes)
 from faskit.protocol import _TRANSCRIPT_WINDOW
 from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import Signature
@@ -81,14 +82,8 @@ def authenticate(pd, dds, sp, rng, fasp=None, now=0, transit_hook=None):
     req, challenge = request_challenge(pd.user_id, sp, now)
     flow = pd_run_authentication(pd, dds, challenge, now, rng, fasp=fasp,
                                  transit_hook=transit_hook)
-    messages = [req, challenge] + flow
-    last = flow[-1]
-    if last.type is MessageType.AUTH_RESPONSE:
-        result = sp.verify(last, now)
-        messages.append(result)
-    else:
-        result = last
-    return messages, result
+    messages = [req, challenge, *conclude(pd, sp, flow, now)]
+    return messages, messages[-1]
 
 
 def test_message_wire_round_trip():
@@ -400,6 +395,9 @@ def test_low_score_aborts_before_any_signing(sim_group):
         dd.current_scores = {dd.modalities[0]: score}
     messages, result = authenticate(pd, dds, sp, rng)
     assert result.payload == {"granted": False, "reason": "score"}
+    # The gateway's own denial ends the session; the SP judges nothing.
+    assert result is pd.transcript[-1]
+    assert all(m.type is not MessageType.AUTH_RESULT for m in sp.transcript)
     signing = [m for m in messages if m.type in (MessageType.SIGN_ROUND1,
                                                  MessageType.SIGN_ROUND2,
                                                  MessageType.HELPER_DELIVERY)]
@@ -930,9 +928,8 @@ def test_forged_header_in_transit_ends_in_a_decision(case, score_mode,
                                                      header):
     # Each message of a flow in turn has `header` forged in transit. The
     # flow ends in a denial with a reason, or in a grant whose signature
-    # verifies under the key the SP registered. The SP verifies the PD's
-    # last message whenever it crossed the transit hook, whatever its
-    # headers now say; the PD's own denial never crosses it.
+    # verifies under the key the SP registered. `conclude` decides whether
+    # the SP judges the flow's last message, whatever its headers now say.
     for target in range(len(transit_types(case, score_mode))):
         for forge in HEADER_FORGERIES[header]:
             pd, dds, sp, fasp, rng, record = make_user(
@@ -949,8 +946,9 @@ def test_forged_header_in_transit_ends_in_a_decision(case, score_mode,
             flow = pd_run_authentication(pd, dds, challenge, 0, rng,
                                          fasp=fasp, transit_hook=hook)
             last = flow[-1]
-            result = sp.verify(last, now=0) if last is crossed[-1] else last
+            result = conclude(pd, sp, flow, now=0)[-1]
             assert result.type is MessageType.AUTH_RESULT
+            assert (result is last) is (last is not crossed[-1])
             if not result.payload["granted"]:
                 assert result.payload["reason"] not in ("", "ok")
                 continue
@@ -959,6 +957,25 @@ def test_forged_header_in_transit_ends_in_a_decision(case, score_mode,
             assert verify_signature(record.pubkey, signed,
                                     Signature.from_json(
                                         last.payload["signature"]))
+
+
+def test_grant_shaped_response_in_transit_is_judged_by_the_sp(sim_group):
+    # A forger rewrites the AuthResponse into what looks like the SP's
+    # grant. Only the SP grants: it judges what reached it, finds no
+    # nonce it issued, and its verdict ends the session.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+
+    def hook(msg):
+        if msg.type is not MessageType.AUTH_RESPONSE:
+            return msg
+        return dataclasses.replace(msg, type=MessageType.AUTH_RESULT,
+                                   sender=sp.sp_id, receiver="user",
+                                   payload={"granted": True, "reason": "ok"})
+
+    messages, result = authenticate(pd, dds, sp, rng, transit_hook=hook)
+    assert result.payload == {"granted": False, "reason": "nonce-unknown"}
+    assert sp.transcript[-2] is messages[-2]
+    assert sp.transcript[-1] is result
 
 
 def test_service_provider_forgets_nonces_past_the_ttl(sim_group):
