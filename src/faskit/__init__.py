@@ -17,8 +17,7 @@ from .authscore import (AuthScore, FusionPolicy, Modality, ModalityReading,
 from .errors import (ConfigError, CorruptedShareError, FaskitError,
                      InsufficientSharesError, InvalidPartialError,
                      NondeterminismError, NonInvertibleError,
-                     ParameterError, PolicyError, RegistrationError,
-                     SessionError)
+                     ParameterError, RegistrationError, SessionError)
 from .fuzzyextractor import (CodeParams, HelperData, decode, encode,
                              fe_enroll, fe_reproduce, bits_to_scalar,
                              scalar_to_bits)

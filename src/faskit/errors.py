@@ -34,10 +34,6 @@ class RegistrationError(FaskitError):
     """Operation references a user unknown to the service provider."""
 
 
-class PolicyError(FaskitError):
-    """Score request references a user with no registered fusion policy."""
-
-
 class ConfigError(FaskitError):
     """Invalid scenario configuration. The message names the bad field."""
 

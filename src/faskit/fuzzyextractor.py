@@ -138,8 +138,11 @@ def bits_to_scalar(key_bits: str, field: PrimeField) -> Scalar:
 
 def scalar_to_bits(value: Scalar, m: int) -> str:
     """Big-endian bit string of value, zero-padded to m bits."""
-    if value < 0 or value >= (1 << m):
-        raise ParameterError(f"value {value} does not fit in {m} bits")
+    if value < 0:
+        raise ParameterError("a scalar is never negative")
+    if value.bit_length() > m:
+        raise ParameterError(
+            f"a {value.bit_length()}-bit scalar does not fit in {m} bits")
     return format(value, "b").zfill(m)
 
 

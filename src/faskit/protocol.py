@@ -27,8 +27,9 @@ The gate always derives from the raw readings the PD collected: in cloud
 score modes the PD cross-checks the service's fused value against its own
 local fusion and falls back to the local value on disagreement beyond the
 quantization tolerance, so a forged ScoreResponse cannot open the gate.
-A reply that does not parse, or whose ciphertext is out of range, counts
-as such a disagreement.
+The service answers every ScoreRequest; a reply with no value (the
+service did not fuse), one that does not parse, or one whose ciphertext
+is out of range counts as such a disagreement.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         modality_means, normalize_fused, phe_decrypt,
                         phe_encrypt, quantize_score, weighted_mean)
 from .errors import (CorruptedShareError, InsufficientSharesError,
-                     InvalidPartialError, ParameterError, PolicyError,
+                     InvalidPartialError, ParameterError,
                      RegistrationError, SessionError)
 from .fuzzyextractor import (CodeParams, HelperData, bits_to_scalar,
                              fe_enroll, fe_reproduce, scalar_to_bits)
@@ -212,11 +213,10 @@ class ServiceProvider(_Transcript):
         """Check the signed response; grant only for a fresh, unused nonce
         and a signature valid under the registered public key."""
         self.record(response)
-        payload = _fields(response)
-        nonce_hex = payload.get("nonce", "")
-        entry = self._nonces.get(nonce_hex) if isinstance(nonce_hex, str) \
-            else None
-        if entry is None:
+        try:
+            nonce_hex = response.payload["nonce"]
+            entry = self._nonces[nonce_hex]
+        except _MALFORMED:
             return self._result(response, False, "nonce-unknown")
         if entry["used"]:
             return self._result(response, False, "replay")
@@ -224,7 +224,7 @@ class ServiceProvider(_Transcript):
             return self._result(response, False, "expired")
         pubkey = self._users[entry["user_id"]]
         try:
-            sig = Signature.from_json(payload["signature"])
+            sig = Signature.from_json(response.payload["signature"])
         except _MALFORMED:
             return self._result(response, False, "signature")
         message = signing_message_bytes(self.sp_id, bytes.fromhex(nonce_hex))
@@ -277,40 +277,35 @@ class FaspService(_Transcript):
         self._users[user_id] = (policy, paillier_pub)
 
     def handle_score_request(self, msg: Message) -> Message:
+        """The ScoreResponse to any request, with its user_id and mode as
+        received. It carries the fused value (plain) or ciphertext
+        (encrypted) only if the service fused: the user and mode are
+        known, encrypted mode has the user's Paillier key, and the scores
+        or ciphertexts parse, lie in [0, SCORE_SCALE] or [0, n^2), and
+        weigh more than 0. The PD treats a reply without one as
+        disagreement."""
         self.record(msg)
         fields = _fields(msg)
-        user_id = fields.get("user_id", "")
-        entry = self._users.get(user_id) if isinstance(user_id, str) \
-            else None
-        if entry is None:
-            raise PolicyError(f"no fusion policy for user {user_id!r}")
-        policy, pub = entry
         mode = fields.get("mode")
-        # A request whose scores or ciphertexts do not parse, or whose
-        # scores lie outside [0, SCORE_SCALE] or ciphertexts outside
-        # [0, n^2), gets a reply with no value, which the PD treats as
-        # disagreement.
-        payload = {"user_id": user_id, "mode": mode}
-        if mode == "plain":
-            scores = _request_values(fields, "scores", _plain_score)
-            if scores is not None:
+        payload = {"user_id": fields.get("user_id"), "mode": mode}
+        try:
+            policy, pub = self._users[payload["user_id"]]
+            if mode == "plain":
+                scores = _request_values(fields["scores"], _plain_score)
                 # A plain-mode service retains the last scores it was
                 # sent, which state_snapshot reports.
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
                 payload["value"] = weighted_mean(
                     scores, policy.weights) / SCORE_SCALE
-        elif mode == "encrypted":
-            if pub is None:
-                raise PolicyError(f"no encryption key for user {user_id!r}")
-            ciphertexts = _request_values(
-                fields, "ciphertexts", lambda v: _hex_below(v, pub.n_sq))
-            weights = policy.integer_weights(ciphertexts or ())
-            if sum(weights.values()) > 0:
-                fused = fuse_encrypted(ciphertexts, weights, pub)
+            elif mode == "encrypted" and pub is not None:
+                ciphertexts = _request_values(
+                    fields["ciphertexts"], lambda v: _hex_below(v, pub.n_sq))
+                fused = fuse_encrypted(
+                    ciphertexts, policy.integer_weights(ciphertexts), pub)
                 payload["ciphertext"] = format(fused, "x")
-        else:
-            raise PolicyError(f"unknown score mode {mode!r}")
+        except _MALFORMED:
+            pass
         reply = Message(type=MessageType.SCORE_RESPONSE,
                         sender=self.fasp_id, receiver=msg.sender,
                         session_id=msg.session_id, payload=payload)
@@ -346,16 +341,12 @@ def _hex_below(value, bound: int) -> int:
     return number
 
 
-def _request_values(payload: dict, key: str, parse) -> dict | None:
-    """{Modality: parse(value)} over the ScoreRequest field `key`, or None
-    when that field is not a dict or any entry does not parse."""
-    raw = payload.get(key)
+def _request_values(raw, parse) -> dict:
+    """{Modality: parse(value)} over a ScoreRequest's scores or
+    ciphertexts; TypeError when `raw` is not a JSON object."""
     if not isinstance(raw, dict):
-        return None
-    try:
-        return {Modality(k): parse(v) for k, v in raw.items()}
-    except _MALFORMED:
-        return None
+        raise TypeError("not a JSON object")
+    return {Modality(k): parse(v) for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +465,10 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     every given device are all set anew, and a slot this case does not
     fill is emptied. It checks every input before it writes anything: two
     devices with one index, a share with no device of its index, in CASE3
-    no usable enrolment template, or a Paillier modulus too small for the
-    fused score raises ParameterError and leaves the PD and every device
-    as they were. The dealer's secret and polynomial exist only inside
+    a code shorter than q's bit length (checked before any key is drawn)
+    or no usable enrolment template, or a Paillier modulus too small for
+    the fused score raises ParameterError and leaves the PD and every
+    device as they were. The dealer's secret and polynomial exist only inside
     this call; with CASE3 the per-device shares and enrolment templates
     are likewise gone when it returns, leaving only helper data on the PD.
     """
@@ -489,6 +481,10 @@ def enroll(user_id: str, strategy: CaseStrategy, params: ThresholdParams,
     for dd in dds:
         if by_index.setdefault(dd.index, dd) is not dd:
             raise ParameterError(f"two devices have index {dd.index}")
+    if strategy.case is Case.CASE3 and \
+            strategy.code.m < group.q.bit_length():
+        raise ParameterError(f"a {strategy.code.m}-bit code cannot carry "
+                             f"the {group.q.bit_length()}-bit shares of q")
     if strategy.case is Case.CASE1:
         params = ThresholdParams(t=0, n=1)
     pubkey, shares, commitments = keygen_dealer(params, group, rng)
@@ -670,19 +666,13 @@ def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
                       receiver=flow.fasp.fasp_id, session_id=flow.session,
                       payload=payload)
     delivered = flow.send(request, pd, None)
-    try:
-        reply = flow.fasp.handle_score_request(delivered)
-    except PolicyError:
-        # A request mangled to name an unknown user or mode gets no
-        # answer; gate on raw readings.
-        return local
-    reply = flow.send(reply, None, pd)
+    reply = flow.send(flow.fasp.handle_score_request(delivered), None, pd)
 
     cloud_value = _cloud_value(pd, reply, scores, ciphertexts)
     if cloud_value is None or \
             not abs(cloud_value - local.value) <= CLOUD_AGREEMENT_TOL:
-        # Tampered, forged or unparseable response (a NaN fails the
-        # comparison too): distrust it, gate on raw readings.
+        # Tampered, forged, unparseable or valueless response (a NaN
+        # fails the comparison too): distrust it, gate on raw readings.
         return local
     return AuthScore(value=cloud_value, contributing=local.contributing,
                      mode="cloud")
@@ -690,9 +680,10 @@ def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
 
 def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
                  ciphertexts: dict) -> float | None:
-    """The fused score a ScoreResponse claims, or None when its payload
+    """The fused score a ScoreResponse claims, or None when the PD cannot
+    use it: it carries no value (the service did not fuse), its payload
     does not parse (an encrypted reply's ciphertext must be hex in
-    [0, n^2)) or the present modalities' integer weights sum to 0.
+    [0, n^2)), or the present modalities' integer weights sum to 0.
 
     `scores` are the quantized scores the PD sent, and `ciphertexts`
     their encryptions. An honest encrypted reply is the product
@@ -706,14 +697,11 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
             return float(reply.payload["value"])
         public = pd.paillier.public
         fused = _hex_below(reply.payload["ciphertext"], public.n_sq)
+        weights = pd.policy.integer_weights(scores)
+        rebuilt = fuse_encrypted(ciphertexts, weights, public)
     except _MALFORMED:
         return None
-    weights = pd.policy.integer_weights(scores)
-    if sum(weights.values()) <= 0:
-        # Weights below 0.5 / WEIGHT_SCALE round to 0, and an honest
-        # service sends no value for them.
-        return None
-    if fused == fuse_encrypted(ciphertexts, weights, public):
+    if fused == rebuilt:
         plaintext = sum(w * scores[m] for m, w in weights.items()) % public.n
     else:
         plaintext = phe_decrypt(fused, pd.paillier)

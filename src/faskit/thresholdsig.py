@@ -92,7 +92,7 @@ def keygen_dealer(params: ThresholdParams, group: GroupParams,
     """
     x = rng.randrange(group.q)
     shares, commitments = share_secret(x, params, group, rng)
-    y = group.power(x)
+    y = commitments.commitments[0]   # C_0 = g^x, the commitment to x
     return GroupPublicKey(y=y, group=group, params=params), shares, commitments
 
 

@@ -50,6 +50,7 @@ def test_is_probable_prime_spot_checks():
     assert is_probable_prime(2 ** 31 - 1)
     assert not is_probable_prime(2 ** 31)
     assert not is_probable_prime(561)   # Carmichael number
+    assert not any(is_probable_prime(n) for n in (-7, 0, 1))
 
 
 def test_lagrange_known_answers():

@@ -198,6 +198,27 @@ def test_paillier_keygen_and_bounds():
         phe_encrypt(1, keypair_from_primes(3, 5).public, None, rho=3)
 
 
+KP15 = keypair_from_primes(3, 5)
+
+# Each refusal: the call, and what its ParameterError says.
+PAILLIER_REFUSALS = {
+    "primes-equal": (lambda: keypair_from_primes(5, 5), "differ"),
+    "factor-composite": (lambda: keypair_from_primes(9, 7), "prime"),
+    "scale-negative": (lambda: phe_scale(2, -1, KP15.public), "negative"),
+    "decrypt-negative": (lambda: phe_decrypt(-1, KP15), "out of range"),
+    "decrypt-n-squared": (lambda: phe_decrypt(225, KP15), "out of range"),
+    "normalize-zero-weights": (lambda: normalize_fused(5, {G: 0}), "zero"),
+    "normalize-no-weights": (lambda: normalize_fused(5, {}), "zero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAILLIER_REFUSALS))
+def test_paillier_refuses_bad_input(name):
+    call, reason = PAILLIER_REFUSALS[name]
+    with pytest.raises(ParameterError, match=reason):
+        call()
+
+
 def test_paillier_keygen_with_odd_bits_skips_q_equal_to_2p_plus_1():
     # At 17 bits, seed 85 first draws p = 179 and q = 359 = 2p + 1, for
     # which gcd(n, (p-1)(q-1)) = p; keygen must draw another q.

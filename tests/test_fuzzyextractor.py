@@ -54,6 +54,8 @@ def test_enroll_known_answers():
     assert fe_enroll("00", "110100", code).bits == "110100"
     with pytest.raises(ParameterError):
         fe_enroll("10", "1101", code)
+    with pytest.raises(ParameterError, match="non-binary"):
+        fe_enroll("10", "1101x0", code)
 
 
 def test_reproduce_known_answers():
@@ -134,8 +136,10 @@ def test_scalar_bits_error_paths():
     field = PrimeField(11)
     with pytest.raises(CorruptedShareError):
         bits_to_scalar("1111", field)    # 15 >= 11
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="5-bit scalar .* 4 bits"):
         scalar_to_bits(16, 4)
+    with pytest.raises(ParameterError, match="negative"):
+        scalar_to_bits(-1, 4)
     with pytest.raises(ParameterError):
         bits_to_scalar("01x0", field)
 

@@ -12,7 +12,7 @@ from faskit import protocol
 from faskit.algebra import get_group
 from faskit.authscore import (FusionPolicy, Modality, max_fused_plaintext,
                               phe_keygen, quantize_score)
-from faskit.errors import (ParameterError, PolicyError, RegistrationError)
+from faskit.errors import ParameterError, RegistrationError
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
                              Message, MessageType, PersonalDevice,
@@ -263,6 +263,25 @@ def test_repeated_device_index_is_refused_before_any_write(case):
                       seed=2)
     assert persistent_states(pd, dds + [twin]) == states
     assert pd.pubkey is pubkey
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_case3_code_too_short_for_a_share_is_refused_before_any_draw(seed):
+    # A 31-bit code cannot carry every 32-bit share of the sim group. The
+    # enrolment is refused before the dealer draws a key, whatever key it
+    # would draw: with seed 2 every share happens to fit in 31 bits.
+    code = CodeParams(m=SIM.q.bit_length() - 1, r=3)
+    pd, dds = gateway_and_devices_1_to_3()
+    rng = random.Random(seed)
+    state = rng.getstate()
+    with pytest.raises(ParameterError, match="31-bit code .* 32-bit"):
+        enroll(user_id="user1", strategy=CaseStrategy(case=Case.CASE3,
+                                                      code=code),
+               params=ThresholdParams(t=1, n=3), group=SIM, pd=pd, dds=dds,
+               rng=rng, enrolment_templates={
+                   i: "0" * code.codeword_length for i in (1, 2, 3)})
+    assert rng.getstate() == state
+    assert pd.pubkey is None and pd.helper_store == {}
 
 
 def test_case3_strategy_needs_code_parameters():
@@ -745,7 +764,6 @@ TRANSIT_MUTATIONS = {
     "score-request-not-hex": (Case.CASE2, "cloud-encrypted",
                               MessageType.SCORE_REQUEST, True,
                               garble_ciphertexts, ["dd1", "dd2"]),
-    # The service refuses the request; the PD gates on local fusion.
     "score-request-unknown-mode": (Case.CASE2, "cloud-encrypted",
                                    MessageType.SCORE_REQUEST, True,
                                    set_field("mode", "psychic"),
@@ -796,6 +814,26 @@ def test_mangled_message_ends_in_a_decision(sim_group, mutation):
     assert [m.receiver for m in messages
             if m.type is MessageType.SIGN_ROUND1 and m.sender == "pd"] \
         == signers
+
+
+@pytest.mark.parametrize("score_mode, mode", [("cloud-plain", "plain"),
+                                             ("cloud-encrypted", "encrypted")])
+def test_request_for_a_mangled_user_is_answered_without_a_value(
+        sim_group, score_mode, mode):
+    # The service answers the mangled request with no value; the PD
+    # records that reply and gates on its own fusion of the readings.
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode=score_mode)
+    result, score, _, _ = spied_authentication(
+        pd, dds, sp, fasp, rng, replace_first(
+            MessageType.SCORE_REQUEST, set_field("user_id", "ghost"),
+            by_pd=True))
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert score.mode == "local"
+    [reply] = [m for m in pd.transcript
+               if m.type is MessageType.SCORE_RESPONSE]
+    assert reply.payload == {"user_id": "ghost", "mode": mode}
+    assert fasp.transcript[-1] is reply
 
 
 @pytest.mark.parametrize("others", [0.9, 0.1])
@@ -1006,8 +1044,86 @@ def test_fasp_rejects_unknown_user():
                   receiver="fasp", session_id="s",
                   payload={"user_id": "ghost", "mode": "plain",
                            "scores": {}})
-    with pytest.raises(PolicyError):
-        fasp.handle_score_request(msg)
+    reply = fasp.handle_score_request(msg)
+    assert reply.type is MessageType.SCORE_RESPONSE
+    assert reply.payload == {"user_id": "ghost", "mode": "plain"}
+    assert list(fasp.transcript) == [msg, reply]
+
+
+def test_encrypted_request_for_a_user_without_a_key_gets_no_value():
+    fasp = FaspService()
+    fasp.register_policy("user1", make_policy())
+    msg = Message(type=MessageType.SCORE_REQUEST, sender="pd",
+                  receiver="fasp", session_id="s",
+                  payload={"user_id": "user1", "mode": "encrypted",
+                           "ciphertexts": {"gait": "1f"}})
+    reply = fasp.handle_score_request(msg)
+    assert reply.payload == {"user_id": "user1", "mode": "encrypted"}
+
+
+# Each field of a score request and its honest values. The service knows
+# one user with a Paillier key ("keyed") and one without ("keyless").
+HONEST_REQUEST_FIELDS = {
+    "user_id": ["keyed", "keyless"],
+    "mode": ["plain", "encrypted"],
+    "scores": [{"gait": 90, "location": 80}],
+    "ciphertexts": [{"gait": "1f", "heartbeat": "2"}],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_score_request_gets_a_score_response(data):
+    # The payload is a hostile value, or a dict whose user_id, mode,
+    # scores and ciphertexts are each absent, honest, hostile or (the
+    # last two) honest but for one hostile entry. The service answers
+    # each with a ScoreResponse the wire encodes, which echoes the
+    # request's user_id and mode; a request it cannot fuse gets neither
+    # value nor ciphertext.
+    keypair = phe_keygen(16, random.Random(16))
+    fasp = FaspService()
+    fasp.register_policy("keyed", make_policy(), paillier_pub=keypair.public)
+    fasp.register_policy("keyless", make_policy())
+    if data.draw(st.booleans(), label="payload is a dict"):
+        payload = {}
+        for key, honest in HONEST_REQUEST_FIELDS.items():
+            kind = data.draw(st.sampled_from(
+                ["absent", "honest", "hostile"]
+                + ["hostile entry"] * isinstance(honest[0], dict)),
+                label=f"{key} kind")
+            if kind == "honest":
+                payload[key] = data.draw(st.sampled_from(honest), label=key)
+            elif kind == "hostile":
+                payload[key] = data.draw(HOSTILE_VALUES, label=key)
+            elif kind == "hostile entry":
+                entry = data.draw(st.sampled_from(["gait", "custom", "x"]),
+                                  label=f"{key} entry")
+                payload[key] = dict(honest[0], **{
+                    entry: data.draw(HOSTILE_VALUES, label=f"{key} value")})
+    else:
+        payload = data.draw(HOSTILE_VALUES, label="payload")
+    msg = Message(type=MessageType.SCORE_REQUEST, sender="pd",
+                  receiver="fasp", session_id="s", payload=payload)
+    reply = fasp.handle_score_request(msg)
+    message_to_wire(reply)
+    assert (reply.type, reply.sender, reply.receiver, reply.session_id) \
+        == (MessageType.SCORE_RESPONSE, "fasp", "pd", "s")
+    fields = payload if isinstance(payload, dict) else {}
+    user_id, mode = fields.get("user_id"), fields.get("mode")
+    assert reply.payload.pop("user_id") is user_id
+    assert reply.payload.pop("mode") is mode
+    fused = {"plain": "scores", "encrypted": "ciphertexts"}
+    refused = (user_id not in HONEST_REQUEST_FIELDS["user_id"]
+               or mode not in ("plain", "encrypted")
+               or (mode == "encrypted" and user_id == "keyless")
+               or not isinstance(fields.get(fused[mode]), dict))
+    if refused:
+        assert reply.payload == {}
+    elif fields[fused[mode]] in HONEST_REQUEST_FIELDS[fused[mode]]:
+        assert set(reply.payload) == {"value" if mode == "plain"
+                                      else "ciphertext"}
+    else:
+        assert set(reply.payload) <= {"value", "ciphertext"}
 
 
 def test_identical_seeds_give_identical_transcripts(sim_group):

@@ -282,6 +282,25 @@ def test_replay_transcript_names_the_first_divergent_message(monkeypatch):
     assert len(calls) == 3 * per_run
 
 
+def test_replay_transcript_names_runs_of_different_length(monkeypatch):
+    config = small(trials=3)
+    per_run = sum(run_scenario(config).message_counts.values())
+    wire = simulator.message_to_wire
+    calls = []
+
+    def growing(msg):
+        # The last message of the third run carries one more line.
+        calls.append(msg)
+        line = wire(msg)
+        return line + "\nextra" if len(calls) == 3 * per_run else line
+
+    monkeypatch.setattr(simulator, "message_to_wire", growing)
+    with pytest.raises(NondeterminismError,
+                       match=f"runs differ in length: {per_run} vs "
+                             f"{per_run + 1}"):
+        replay_transcript("0" * 64, config)
+
+
 def test_matching_replay_runs_once_without_a_transcript(monkeypatch):
     config = small(trials=3)
     digest = run_scenario(config).transcript_digest
