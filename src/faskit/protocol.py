@@ -29,7 +29,12 @@ local fusion and falls back to the local value on disagreement beyond the
 quantization tolerance, so a forged ScoreResponse cannot open the gate.
 The service answers every ScoreRequest; a reply with no value (the
 service did not fuse), one that does not parse, or one whose ciphertext
-is out of range counts as such a disagreement.
+is out of range or decrypts above any honest fusion counts as such a
+disagreement.
+
+Each payload field one party reads from another goes through algebra's
+`typed` (its exact type: True is no int, "0.9" no float) or `read_hex`
+(a non-empty str of [0-9a-fA-F]); a value either refuses does not parse.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import GroupParams
+from .algebra import GroupParams, read_hex, typed
 from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         ModalityReading, PheKeypair, fuse_encrypted,
                         fuse_local, gate, max_fused_plaintext,
@@ -296,6 +301,8 @@ class FaspService(_Transcript):
                 # sent, which state_snapshot reports.
                 self._plain_scores_seen.extend(sorted(
                     (m.value, v) for m, v in scores.items()))
+                if not scores.keys() & policy.weights.keys():
+                    raise ValueError("no score weighs more than 0")
                 payload["value"] = weighted_mean(
                     scores, policy.weights) / SCORE_SCALE
             elif mode == "encrypted" and pub is not None:
@@ -325,18 +332,17 @@ def _fields(msg: Message) -> dict:
 
 
 def _plain_score(value) -> int:
-    """A quantized score, which lies in [0, SCORE_SCALE]."""
-    score = int(value)
+    """A quantized score, which is an int in [0, SCORE_SCALE]."""
+    score = typed(value, int)
     if not 0 <= score <= SCORE_SCALE:
         raise ValueError(f"score {score} outside [0, {SCORE_SCALE}]")
     return score
 
 
 def _hex_below(value, bound: int) -> int:
-    """The number the hex string `value` from another party encodes;
-    ValueError unless it lies in [0, bound)."""
-    number = int(value, 16)
-    if not 0 <= number < bound:
+    """read_hex(value); ValueError unless it is below bound."""
+    number = read_hex(value)
+    if not number < bound:
         raise ValueError("hex number out of range")
     return number
 
@@ -344,9 +350,7 @@ def _hex_below(value, bound: int) -> int:
 def _request_values(raw, parse) -> dict:
     """{Modality: parse(value)} over a ScoreRequest's scores or
     ciphertexts; TypeError when `raw` is not a JSON object."""
-    if not isinstance(raw, dict):
-        raise TypeError("not a JSON object")
-    return {Modality(k): parse(v) for k, v in raw.items()}
+    return {Modality(k): parse(v) for k, v in typed(raw, dict).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +631,14 @@ def conclude(pd: PersonalDevice, sp: ServiceProvider, flow: list,
 
 
 def _parse_reading(payload: dict) -> ModalityReading | None:
-    """The reading a SensorReading carries, or None when it does not parse
-    or its score lies outside [0, 1]; the PD drops such a reading and
-    gates on the rest."""
+    """The reading a SensorReading carries, or None when a field is not of
+    its exact type or does not parse, or its score lies outside [0, 1];
+    the PD drops such a reading and gates on the rest."""
     try:
-        return ModalityReading(device_id=str(payload["device_id"]),
+        return ModalityReading(device_id=typed(payload["device_id"], str),
                                modality=Modality(payload["modality"]),
-                               score=float(payload["score"]),
-                               timestamp=int(payload["timestamp"]))
+                               score=typed(payload["score"], float),
+                               timestamp=typed(payload["timestamp"], int))
     except _MALFORMED:
         return None
 
@@ -682,8 +686,10 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
                  ciphertexts: dict) -> float | None:
     """The fused score a ScoreResponse claims, or None when the PD cannot
     use it: it carries no value (the service did not fuse), its payload
-    does not parse (an encrypted reply's ciphertext must be hex in
-    [0, n^2)), or the present modalities' integer weights sum to 0.
+    does not parse (a plain reply's value must be a float, an encrypted
+    reply's ciphertext hex in [0, n^2)), the present modalities' integer
+    weights sum to 0, or the ciphertext decrypts to more than any honest
+    fusion under the PD's policy sums to.
 
     `scores` are the quantized scores the PD sent, and `ciphertexts`
     their encryptions. An honest encrypted reply is the product
@@ -694,7 +700,7 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
     phe_decrypt would."""
     try:
         if pd.score_mode == "cloud-plain":
-            return float(reply.payload["value"])
+            return typed(reply.payload["value"], float)
         public = pd.paillier.public
         fused = _hex_below(reply.payload["ciphertext"], public.n_sq)
         weights = pd.policy.integer_weights(scores)
@@ -705,6 +711,8 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
         plaintext = sum(w * scores[m] for m, w in weights.items()) % public.n
     else:
         plaintext = phe_decrypt(fused, pd.paillier)
+    if plaintext > max_fused_plaintext(pd.policy):
+        return None
     return normalize_fused(plaintext, weights)
 
 
@@ -753,7 +761,7 @@ def _exchange(flow: _Flow, signer_row, kind: MessageType, ask: dict,
                                         key: format(sign(signer), "x")}),
                        dd, pd)
     try:
-        if answer.payload["index"] != index:
+        if typed(answer.payload["index"], int) != index:
             raise ValueError("the answer names another signer")
         return _hex_below(answer.payload[key], bound)
     except _MALFORMED as exc:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import GroupParams, PrimeField, Scalar, lagrange_coefficient
+from .algebra import (GroupParams, PrimeField, Scalar, lagrange_coefficient,
+                      read_hex, typed)
 from .errors import ParameterError
 
 
@@ -48,7 +49,7 @@ class Share:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Share":
-        return cls(index=int(obj["index"]), value=int(obj["value"], 16))
+        return cls(index=typed(obj["index"], int), value=read_hex(obj["value"]))
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class FeldmanCommitments:
 
     @classmethod
     def from_json(cls, obj) -> "FeldmanCommitments":
-        return cls(commitments=tuple(int(c, 16) for c in obj))
+        return cls(commitments=tuple(read_hex(c) for c in typed(obj, list)))
 
 
 def _eval_poly(coeffs, x: int, q: int) -> int:

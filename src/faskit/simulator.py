@@ -32,7 +32,7 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field, replace
 
-from .algebra import get_group
+from .algebra import get_group, read_hex, typed
 from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
                         phe_encrypt, phe_keygen)
 from .errors import ConfigError, NondeterminismError, ParameterError
@@ -83,17 +83,17 @@ class ScenarioConfig:
         """(field, check) rows; a check fails by raising. A rule that a
         domain type owns is checked by building that type, and a row may
         rely on every row before it having passed."""
-        yield "case", lambda: Case(_typed(self.case, int))
-        yield "n", lambda: ThresholdParams(t=0, n=_typed(self.n, int))
-        yield "t", lambda: ThresholdParams(t=_typed(self.t, int), n=self.n)
+        yield "case", lambda: Case(typed(self.case, int))
+        yield "n", lambda: ThresholdParams(t=0, n=typed(self.n, int))
+        yield "t", lambda: ThresholdParams(t=typed(self.t, int), n=self.n)
         yield "p_flip", lambda: _require(
-            0 <= _typed(self.p_flip, int, float) <= 0.5,
+            0 <= typed(self.p_flip, int, float) <= 0.5,
             "must lie in [0, 0.5]")
         yield "adversary", lambda: _require(
             self.adversary in _ADVERSARIES,
             f"unknown value {self.adversary!r}")
         yield "adversary_k", lambda: _require(
-            0 <= _typed(self.adversary_k, int) <= self.n, "need 0 <= k <= n")
+            0 <= typed(self.adversary_k, int) <= self.n, "need 0 <= k <= n")
         yield "adversary", lambda: _require(
             self.adversary != "score_inflate"
             or self.score_mode != "local-bypass",
@@ -101,30 +101,30 @@ class ScenarioConfig:
         yield "adversary", lambda: _require(
             self.adversary != "tamper_partial" or self.case != 1,
             "tamper_partial needs case 2 or 3")
-        yield "weights", lambda: _typed(self.weights, dict)
+        yield "weights", lambda: typed(self.weights, dict)
         for name, weight in self.weights.items():
             yield f"weights.{name}", lambda name=name, weight=weight: (
-                Modality(name), _typed(weight, int, float))
+                Modality(name), typed(weight, int, float))
         yield "weights", lambda: FusionPolicy(weights=self.weights)
         yield "staleness_max", lambda: FusionPolicy(
             weights=self.weights, staleness_max=self.staleness_max)
-        yield "theta", lambda: (_typed(self.theta, int, float),
+        yield "theta", lambda: (typed(self.theta, int, float),
                                 self.policy())
         yield "score_mode", lambda: PersonalDevice(
             user_id="", policy=self.policy(), score_mode=self.score_mode)
         yield "group", lambda: get_group(self.group)
-        yield "code_r", lambda: CodeParams(m=1, r=_typed(self.code_r, int))
+        yield "code_r", lambda: CodeParams(m=1, r=typed(self.code_r, int))
         yield "paillier_bits", self._check_paillier_bits
         yield "seed", lambda: _require(
-            0 <= _typed(self.seed, int) < 2 ** 64,
+            0 <= typed(self.seed, int) < 2 ** 64,
             "must be a 64-bit unsigned integer")
         yield "trials", lambda: _require(
-            _typed(self.trials, int) >= 0, "must be >= 0")
-        yield "impostor", lambda: _typed(self.impostor, bool)
-        yield "pd_holds_share", lambda: _typed(self.pd_holds_share, bool)
+            typed(self.trials, int) >= 0, "must be >= 0")
+        yield "impostor", lambda: typed(self.impostor, bool)
+        yield "pd_holds_share", lambda: typed(self.pd_holds_share, bool)
         yield "present_devices", lambda: _require(
             self.present_devices is None
-            or {_typed(i, int) for i in self.present_devices}
+            or {typed(i, int) for i in self.present_devices}
             <= set(self._device_indices()),
             "names a device that is not enrolled")
 
@@ -135,7 +135,7 @@ class ScenarioConfig:
         if self.score_mode == "cloud-encrypted":
             bound = max_fused_plaintext(self.policy())
             least = max(least, (bound - 1).bit_length() + 2)
-        _require(_typed(self.paillier_bits, int) >= least,
+        _require(typed(self.paillier_bits, int) >= least,
                  f"must be >= {least}")
 
     def _device_indices(self) -> list:
@@ -193,15 +193,6 @@ class SimReport:
 def _require(ok: bool, reason: str) -> None:
     if not ok:
         raise ValueError(reason)
-
-
-def _typed(value, *types):
-    """value itself when its exact type is one of types, so a bool is not
-    an int and a numeric string is not a number."""
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"expected {names}, got {value!r}")
-    return value
 
 
 def _draw_bits(rng: random.Random, length: int) -> str:
@@ -343,7 +334,7 @@ def _make_tamper_hook(trial: _Trial):
         if "s" not in msg.payload:
             return msg
         state["done"] = True
-        s = (int(msg.payload["s"], 16) + 1) % q
+        s = (read_hex(msg.payload["s"]) + 1) % q
         return replace(msg, payload={**msg.payload, "s": format(s, "x")})
 
     return hook

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import (GroupElement, GroupParams, PrimeField, Scalar,
-                      lagrange_coefficient)
+                      lagrange_coefficient, read_hex)
 from .errors import (InsufficientSharesError, InvalidPartialError,
                      ParameterError, SessionError)
 from .sharing import Share, ThresholdParams, share_secret
@@ -79,7 +79,7 @@ class Signature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Signature":
-        return cls(R=int(obj["R"], 16), s=int(obj["s"], 16))
+        return cls(R=read_hex(obj["R"]), s=read_hex(obj["s"]))
 
 
 def keygen_dealer(params: ThresholdParams, group: GroupParams,

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from faskit.algebra import (FixedBaseComb, GroupParams, PrimeField, get_group,
                             group_names, is_probable_prime,
-                            lagrange_coefficient, mod_inv)
+                            lagrange_coefficient, mod_inv, read_hex, typed)
 from faskit.errors import NonInvertibleError, ParameterError
+from faskit.fuzzyextractor import HelperData
+from faskit.sharing import FeldmanCommitments, Share
+from faskit.thresholdsig import Signature
 
 
 def test_mod_inv_known_answers():
@@ -131,6 +134,48 @@ def test_group_json_round_trip():
         GroupParams.from_json({"p": "17"})
     with pytest.raises(ParameterError):
         get_group("nope")
+
+
+def test_typed_takes_only_the_exact_type():
+    assert typed(2, int) == 2
+    assert typed(0.5, int, float) == 0.5
+    for value in (True, "2", 2.0, None):
+        with pytest.raises(TypeError, match="expected int, got"):
+            typed(value, int)
+
+
+@pytest.mark.parametrize("value, number", [
+    ("0", 0), ("1f", 31), ("1F", 31), ("00ff", 255),
+    ("a" * 600, 10 * (16 ** 600 - 1) // 15)])
+def test_read_hex_reads_hex_digits(value, number):
+    assert read_hex(value) == number
+
+
+# Each is taken by int(x, 16) or names a number some other way.
+LAX_HEX = ["", "0x1f", "0X1f", "+1f", "-1f", "-0", " 1f", "1f ", "1f\n",
+           "1_f", "\u0661", "\uff11", "1g", b"1f", 31, True, None, ["1f"]]
+
+
+@pytest.mark.parametrize("value", LAX_HEX)
+def test_read_hex_refuses_everything_else(value):
+    with pytest.raises(ParameterError):
+        read_hex(value)
+
+
+@pytest.mark.parametrize("decode, obj", [
+    (GroupParams.from_json, {"p": "0x17", "q": "b", "g": "2"}),
+    (Share.from_json, {"index": True, "value": "1f"}),
+    (Share.from_json, {"index": 1, "value": "+1f"}),
+    (FeldmanCommitments.from_json, ["d", "1_0"]),
+    (FeldmanCommitments.from_json, "d10"),
+    (Signature.from_json, {"R": " 0x3", "s": "-0"}),
+    (HelperData.from_json, {"bits": "30", "m": "2", "r": 3}),
+    (HelperData.from_json, {"bits": "30", "m": 2, "r": True}),
+], ids=["group-0x", "share-index-true", "share-plus", "commitment-underscore",
+        "commitments-a-str", "signature-lax", "helper-m-str", "helper-r-true"])
+def test_codecs_refuse_lax_encodings(decode, obj):
+    with pytest.raises((TypeError, ParameterError)):
+        decode(obj)
 
 
 def test_element_membership_and_encoding(kat_group):

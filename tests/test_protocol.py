@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faskit import protocol
 from faskit.algebra import get_group
 from faskit.authscore import (FusionPolicy, Modality, max_fused_plaintext,
-                              phe_keygen, quantize_score)
+                              phe_encrypt, phe_keygen, quantize_score)
 from faskit.errors import ParameterError, RegistrationError
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
@@ -507,6 +507,24 @@ def test_response_bound_to_wrong_sp_is_denied(sim_group):
     assert result.payload == {"granted": False, "reason": "signature"}
 
 
+@pytest.mark.parametrize("key, recode", [
+    ("R", lambda v: "0x" + v), ("s", lambda v: " " + v)],
+    ids=["R-0x", "s-space"])
+def test_lax_signature_encoding_is_denied(sim_group, key, recode):
+    # The signature that verifies, with one field re-encoded in a form
+    # int(x, 16) would take: the SP does not read it.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+
+    def mutate(payload):
+        payload["signature"] = recode_field(key, recode)(
+            dict(payload["signature"]))
+        return payload
+
+    _, result = authenticate(pd, dds, sp, rng, transit_hook=replace_first(
+        MessageType.AUTH_RESPONSE, mutate, by_pd=True))
+    assert result.payload == {"granted": False, "reason": "signature"}
+
+
 def test_garbage_signature_is_denied(sim_group):
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
     req, challenge = request_challenge("user1", sp, now=0)
@@ -590,6 +608,14 @@ def set_field(key, value):
     return mutate
 
 
+def recode_field(key, recode):
+    """Replace the honest value v of payload[key] by recode(v)."""
+    def mutate(payload):
+        payload[key] = recode(payload[key])
+        return payload
+    return mutate
+
+
 @pytest.mark.parametrize("score_mode, key, forged", [
     ("cloud-encrypted", "ciphertext", "-1"),
     ("cloud-encrypted", "ciphertext", "zz"),
@@ -597,6 +623,10 @@ def set_field(key, value):
     ("cloud-encrypted", "ciphertext", None),
     ("cloud-plain", "value", "zz"),
     ("cloud-plain", "value", "nan"),
+    # The honest reply re-encoded in a form float() or int(x, 16) takes.
+    pytest.param("cloud-plain", "value", str, id="value-lax-str"),
+    pytest.param("cloud-encrypted", "ciphertext", lambda c: "0x" + c,
+                 id="ciphertext-lax-0x"),
 ])
 def test_unparseable_score_response_falls_back_to_local_fusion(
         sim_group, score_mode, key, forged):
@@ -604,26 +634,50 @@ def test_unparseable_score_response_falls_back_to_local_fusion(
                                           score_mode=score_mode)
     if forged == "n^2":
         forged = format(pd.paillier.public.n_sq, "x")
+    mutate = recode_field(key, forged) if callable(forged) \
+        else set_field(key, forged)
     # Every device reads 0.9, so local fusion opens the gate.
-    _, result = authenticate(pd, dds, sp, rng, fasp=fasp, transit_hook=
-                             replace_first(MessageType.SCORE_RESPONSE,
-                                           set_field(key, forged)))
+    result, score, _, _ = spied_authentication(
+        pd, dds, sp, fasp, rng,
+        replace_first(MessageType.SCORE_RESPONSE, mutate))
     assert result.payload == {"granted": True, "reason": "ok"}
+    assert score.mode == "local"
+
+
+def test_forged_reply_under_a_large_key_falls_back_to_local_fusion(
+        sim_group):
+    # Under a Paillier key of more than about 1,052 bits, the forged reply
+    # Enc(n - 1) decrypts to a sum too large to divide into a float. No
+    # honest fusion sums that high, so the PD gates on its own fusion.
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-encrypted")
+    keypair = phe_keygen(1100, random.Random(5))
+    use_paillier(pd, fasp, keypair)
+    forged = format(phe_encrypt(keypair.public.n - 1, keypair,
+                                random.Random(6)), "x")
+    result, score, _, _ = spied_authentication(
+        pd, dds, sp, fasp, rng, replace_first(
+            MessageType.SCORE_RESPONSE, set_field("ciphertext", forged)))
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert score.mode == "local"
 
 
 def bump_field(key, modulus):
-    def mutate(payload):
-        payload[key] = format((int(payload[key], 16) + 1) % modulus, "x")
-        return payload
-    return mutate
+    return recode_field(
+        key, lambda v: format((int(v, 16) + 1) % modulus, "x"))
 
 
 SIGNING_MUTATIONS = {
     "round1-R-not-hex": (MessageType.SIGN_ROUND1, set_field("R", "zz")),
     "round1-R-changed": (MessageType.SIGN_ROUND1, bump_field("R", SIM.p)),
+    "round1-R-0x-prefixed": (MessageType.SIGN_ROUND1,
+                             recode_field("R", lambda v: "0x" + v)),
     "round1-foreign-index": (MessageType.SIGN_ROUND1, set_field("index", 2)),
+    "round1-index-true": (MessageType.SIGN_ROUND1, set_field("index", True)),
     "round2-s-not-hex": (MessageType.SIGN_ROUND2, set_field("s", "zz")),
     "round2-s-changed": (MessageType.SIGN_ROUND2, bump_field("s", SIM.q)),
+    "round2-s-space-prefixed": (MessageType.SIGN_ROUND2,
+                                recode_field("s", lambda v: " " + v)),
     "round2-foreign-index": (MessageType.SIGN_ROUND2, set_field("index", 2)),
 }
 
@@ -739,6 +793,17 @@ def infinite_helper_m(payload):
     return payload
 
 
+def helper_m_as_a_str(payload):
+    payload["helper"] = dict(payload["helper"], m=str(payload["helper"]["m"]))
+    return payload
+
+
+def prefix_first_commitment(payload):
+    first, *rest = payload["commitments"]
+    payload["commitments"] = ["0x" + first, *rest]
+    return payload
+
+
 @functools.lru_cache(maxsize=None)
 def make_user_n_sq():
     """n^2 of the Paillier key make_user gives a CASE2 t=1 n=3 user."""
@@ -746,19 +811,22 @@ def make_user_n_sq():
     return pd.paillier.public.n_sq
 
 
-def first_ciphertext(value):
-    """Set the first ciphertext of the request to value()."""
+def first_entry(key, recode):
+    """Replace the honest value v of the first entry of the request's
+    `key` map (its scores or ciphertexts) by recode(v)."""
     def mutate(payload):
-        ciphertexts = dict(payload["ciphertexts"])
-        ciphertexts[next(iter(ciphertexts))] = value()
-        payload["ciphertexts"] = ciphertexts
+        entries = dict(payload[key])
+        first = next(iter(entries))
+        entries[first] = recode(entries[first])
+        payload[key] = entries
         return payload
     return mutate
 
 
 # (case, score mode, message type, sent by the PD, mutation, signers).
 # Each mutation hits the first message of its type; for a sensor reading
-# or a helper delivery, that is dd1's.
+# or a helper delivery, that is dd1's. A "lax" row re-encodes an honest
+# value in a form int(), float() or int(x, 16) would take.
 TRANSIT_MUTATIONS = {
     # The service answers with no value; the PD gates on local fusion.
     "score-request-not-hex": (Case.CASE2, "cloud-encrypted",
@@ -778,19 +846,39 @@ TRANSIT_MUTATIONS = {
                                      ["dd1", "dd2"]),
     "score-request-ciphertext-negative": (
         Case.CASE2, "cloud-encrypted", MessageType.SCORE_REQUEST, True,
-        first_ciphertext(lambda: "-1"), ["dd1", "dd2"]),
+        first_entry("ciphertexts", lambda c: "-1"), ["dd1", "dd2"]),
     "score-request-ciphertext-n-squared": (
         Case.CASE2, "cloud-encrypted", MessageType.SCORE_REQUEST, True,
-        first_ciphertext(lambda: format(make_user_n_sq(), "x")),
+        first_entry("ciphertexts", lambda c: format(make_user_n_sq(), "x")),
         ["dd1", "dd2"]),
-    # The service answers with no value; the PD gates on local fusion.
+    "score-request-ciphertext-lax-0x": (
+        Case.CASE2, "cloud-encrypted", MessageType.SCORE_REQUEST, True,
+        first_entry("ciphertexts", lambda c: "0x" + c), ["dd1", "dd2"]),
     "score-request-score-overflows": (Case.CASE2, "cloud-plain",
                                       MessageType.SCORE_REQUEST, True,
                                       overflow_scores, ["dd1", "dd2"]),
+    "score-request-score-lax-float": (Case.CASE2, "cloud-plain",
+                                      MessageType.SCORE_REQUEST, True,
+                                      first_entry("scores", float),
+                                      ["dd1", "dd2"]),
+    "score-request-score-lax-str": (Case.CASE2, "cloud-plain",
+                                    MessageType.SCORE_REQUEST, True,
+                                    first_entry("scores", str),
+                                    ["dd1", "dd2"]),
     # The PD drops dd1's reading and gates on the other two.
     "sensor-score-out-of-range": (Case.CASE3, "local-bypass",
                                   MessageType.SENSOR_READING, False,
                                   set_field("score", 7.0), ["dd1", "dd2"]),
+    "sensor-score-lax-str": (Case.CASE3, "local-bypass",
+                             MessageType.SENSOR_READING, False,
+                             recode_field("score", str), ["dd1", "dd2"]),
+    "sensor-score-true": (Case.CASE3, "local-bypass",
+                          MessageType.SENSOR_READING, False,
+                          set_field("score", True), ["dd1", "dd2"]),
+    "sensor-timestamp-lax-float": (Case.CASE3, "local-bypass",
+                                   MessageType.SENSOR_READING, False,
+                                   recode_field("timestamp", float),
+                                   ["dd1", "dd2"]),
     # dd1 sits the session out; dd2 and dd3 make the quorum.
     "helper-truncated": (Case.CASE3, "local-bypass",
                          MessageType.HELPER_DELIVERY, True,
@@ -798,6 +886,12 @@ TRANSIT_MUTATIONS = {
     "helper-m-infinite": (Case.CASE3, "local-bypass",
                           MessageType.HELPER_DELIVERY, True,
                           infinite_helper_m, ["dd2", "dd3"]),
+    "helper-m-lax-str": (Case.CASE3, "local-bypass",
+                         MessageType.HELPER_DELIVERY, True,
+                         helper_m_as_a_str, ["dd2", "dd3"]),
+    "helper-commitment-lax-0x": (Case.CASE3, "local-bypass",
+                                 MessageType.HELPER_DELIVERY, True,
+                                 prefix_first_commitment, ["dd2", "dd3"]),
 }
 
 
@@ -807,13 +901,16 @@ def test_mangled_message_ends_in_a_decision(sim_group, mutation):
         TRANSIT_MUTATIONS[mutation]
     pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, sim_group,
                                           score_mode=score_mode)
-    messages, result = authenticate(pd, dds, sp, rng, fasp=fasp,
-                                    transit_hook=replace_first(
-                                        msg_type, mutate, by_pd=by_pd))
+    result, score, _, _ = spied_authentication(
+        pd, dds, sp, fasp, rng, replace_first(msg_type, mutate, by_pd=by_pd))
     assert result.payload == {"granted": True, "reason": "ok"}
-    assert [m.receiver for m in messages
+    assert [m.receiver for m in pd.transcript
             if m.type is MessageType.SIGN_ROUND1 and m.sender == "pd"] \
         == signers
+    if msg_type is MessageType.SENSOR_READING:
+        assert "dd1" not in score.contributing
+    if msg_type is MessageType.SCORE_REQUEST:
+        assert score.mode == "local"
 
 
 @pytest.mark.parametrize("score_mode, mode", [("cloud-plain", "plain"),
@@ -867,7 +964,8 @@ def test_response_with_a_mangled_nonce_is_unknown(sim_group, nonce):
 HOSTILE_VALUES = st.one_of(
     st.sampled_from([None, True, False, 10 ** 400, -(10 ** 400), -1,
                      float("nan"), float("inf"), float("-inf"), "", "zz",
-                     "0x1f", "-1", " 1", [], ["1"], {}, {"1": "1"}]),
+                     "0x1f", "-1", " 1", "1_f", "+1f", "\u0661", [], ["1"],
+                     {}, {"1": "1"}]),
     st.integers(), st.text(max_size=3))
 
 
@@ -1048,6 +1146,20 @@ def test_fasp_rejects_unknown_user():
     assert reply.type is MessageType.SCORE_RESPONSE
     assert reply.payload == {"user_id": "ghost", "mode": "plain"}
     assert list(fasp.transcript) == [msg, reply]
+
+
+@pytest.mark.parametrize("scores", [{}, {"custom": 90}],
+                         ids=["none", "unweighted"])
+def test_plain_request_with_no_weighted_score_gets_no_value(scores):
+    # No score weighs more than 0, so the service does not fuse.
+    fasp = FaspService()
+    fasp.register_policy("user1", make_policy())
+    msg = Message(type=MessageType.SCORE_REQUEST, sender="pd",
+                  receiver="fasp", session_id="s",
+                  payload={"user_id": "user1", "mode": "plain",
+                           "scores": scores})
+    reply = fasp.handle_score_request(msg)
+    assert reply.payload == {"user_id": "user1", "mode": "plain"}
 
 
 def test_encrypted_request_for_a_user_without_a_key_gets_no_value():
