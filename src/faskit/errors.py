@@ -26,7 +26,7 @@ class InvalidPartialError(FaskitError):
     with or derived from a corrupted key share."""
 
 
-class CorruptedShareError(FaskitError):
+class CorruptedShareError(ParameterError):
     """Reproduced key-share bits decode to a value outside the scalar field."""
 
 

@@ -5,7 +5,8 @@ DumbDevices (DDs) that talk only to the PD, the ServiceProvider (SP) that
 challenges and verifies, and the FaspService that assists with score
 fusion. All interaction is modeled as immutable Messages; every entity
 keeps a transcript of the last 64 messages it sent and received, which is
-what dispute resolution audits offline.
+what dispute resolution audits offline, and all the scoring service
+retains of what it is sent.
 
 A flow runs: AuthRequest -> Challenge -> sensor collection -> score
 fusion and gating -> (only if the gate passes) the signing ceremony of
@@ -51,9 +52,8 @@ from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         fuse_local, gate, max_fused_plaintext,
                         modality_means, normalize_fused, phe_decrypt,
                         phe_encrypt, quantize_score, weighted_mean)
-from .errors import (CorruptedShareError, InsufficientSharesError,
-                     InvalidPartialError, ParameterError,
-                     RegistrationError, SessionError)
+from .errors import (InsufficientSharesError, InvalidPartialError,
+                     ParameterError, RegistrationError, SessionError)
 from .fuzzyextractor import (CodeParams, HelperData, bits_to_scalar,
                              fe_enroll, fe_reproduce, scalar_to_bits)
 from .sharing import (FeldmanCommitments, Share, ThresholdParams,
@@ -232,7 +232,7 @@ class ServiceProvider(_Transcript):
             sig = Signature.from_json(response.payload["signature"])
         except _MALFORMED:
             return self._result(response, False, "signature")
-        message = signing_message_bytes(self.sp_id, bytes.fromhex(nonce_hex))
+        message = signing_message_bytes(self.sp_id, _read_nonce(nonce_hex))
         if not verify_signature(pubkey, message, sig):
             return self._result(response, False, "signature")
         entry["used"] = True
@@ -275,7 +275,6 @@ class FaspService(_Transcript):
     def __init__(self):
         super().__init__()
         self._users: dict = {}   # user -> (policy, Paillier key or None)
-        self._plain_scores_seen: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
     def register_policy(self, user_id: str, policy: FusionPolicy,
                         paillier_pub=None) -> None:
@@ -297,10 +296,6 @@ class FaspService(_Transcript):
             policy, pub = self._users[payload["user_id"]]
             if mode == "plain":
                 scores = _request_values(fields["scores"], _plain_score)
-                # A plain-mode service retains the last scores it was
-                # sent, which state_snapshot reports.
-                self._plain_scores_seen.extend(sorted(
-                    (m.value, v) for m, v in scores.items()))
                 if not scores.keys() & policy.weights.keys():
                     raise ValueError("no score weighs more than 0")
                 payload["value"] = weighted_mean(
@@ -321,8 +316,23 @@ class FaspService(_Transcript):
 
     def state_snapshot(self) -> dict:
         """Inspection hook: the plaintext scores this service retains,
-        the last _TRANSCRIPT_WINDOW of them, oldest first."""
-        return {"plaintext_scores": list(self._plain_scores_seen)}
+        which are those plaintext_scores finds in its transcript, oldest
+        first."""
+        return {"plaintext_scores": [s for msg in self.transcript
+                                     for s in plaintext_scores(msg)]}
+
+
+def plaintext_scores(msg: Message) -> list:
+    """The plaintext scores msg shows to anyone who holds it, as sent:
+    (modality, score) per entry of a ScoreRequest's scores, ("fused",
+    value) for a ScoreResponse's value, and none in any other payload."""
+    fields = _fields(msg)
+    if msg.type is MessageType.SCORE_REQUEST \
+            and isinstance(fields.get("scores"), dict):
+        return list(fields["scores"].items())
+    if msg.type is MessageType.SCORE_RESPONSE and "value" in fields:
+        return [("fused", fields["value"])]
+    return []
 
 
 def _fields(msg: Message) -> dict:
@@ -337,6 +347,14 @@ def _plain_score(value) -> int:
     if not 0 <= score <= SCORE_SCALE:
         raise ValueError(f"score {score} outside [0, {SCORE_SCALE}]")
     return score
+
+
+def _read_nonce(value) -> bytes:
+    """The bytes of a nonce of exactly 2 * NONCE_BYTES hex digits."""
+    number = read_hex(value)
+    if len(value) != 2 * NONCE_BYTES:
+        raise ValueError("a nonce is not 2 * NONCE_BYTES hex digits")
+    return number.to_bytes(NONCE_BYTES, "big")
 
 
 def _hex_below(value, bound: int) -> int:
@@ -397,16 +415,14 @@ class DumbDevice(_Transcript):
 
         Returns a signer over it, which the device does not keep, or None
         when the recovered share fails the commitment check (too-noisy or
-        impostor template); the device then sits the session out.
+        impostor template); the device then sits the session out. Bits
+        that decode outside the field raise CorruptedShareError instead
+        of returning None, and the flow sits the device out for that too.
         """
         if self.current_template is None:
             return None
         bits = fe_reproduce(self.current_template, helper)
-        try:
-            value = bits_to_scalar(bits, group.field)
-        except CorruptedShareError:
-            return None
-        share = Share(index=self.index, value=value)
+        share = Share(self.index, bits_to_scalar(bits, group.field))
         if not verify_share(share, commitments, group):
             return None
         return DeviceSigner(share, group)
@@ -571,13 +587,20 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     gate fails, no signing message is ever sent. `transit_hook`, if
     given, is called with each message that crosses a link and must
     return the Message to deliver in its place; dropping a message is an
-    availability threat, which is out of scope.
+    availability threat, which is out of scope. A Challenge whose session
+    id or sp_id is no str, or whose nonce is not 2 * NONCE_BYTES hex
+    digits, is denied "challenge" before any device is contacted.
     """
     session = challenge.session_id
-    flow = _Flow(pd, dds, session, fasp, rng, transit_hook)
     pd.record(challenge)
-    sp_id = challenge.payload["sp_id"]
-    nonce = bytes.fromhex(challenge.payload["nonce"])
+    fields = _fields(challenge)
+    try:
+        typed(session, str)
+        sp_id = typed(fields["sp_id"], str)
+        nonce = _read_nonce(fields["nonce"])
+    except _MALFORMED:
+        return [_denied(pd, session, "challenge")]
+    flow = _Flow(pd, dds, session, fasp, rng, transit_hook)
 
     # Step 3a: collect sensor readings from every live device.
     for dd in flow.dds:

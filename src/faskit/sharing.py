@@ -100,16 +100,18 @@ def share_secret(secret: Scalar, params: ThresholdParams, group: GroupParams,
 
 def verify_share(share: Share, commitments: FeldmanCommitments,
                  group: GroupParams) -> bool:
-    """Check g^value == prod_k C_k^(index^k) mod p."""
+    """Check g^value == prod_k C_k^(index^k) mod p. False when any C_k
+    lies outside [1, p), so each commitment has one encoding."""
     if share.index < 1:
         raise ParameterError(f"share index must be >= 1, got {share.index}")
-    lhs = group.power(share.value)
     rhs = 1
     e = 1  # index^k mod q, valid exponent since the C_k have order q
     for c in commitments.commitments:
+        if not 0 < c < group.p:
+            return False
         rhs = rhs * pow(c, e, group.p) % group.p
         e = e * share.index % group.q
-    return lhs == rhs
+    return group.power(share.value) == rhs
 
 
 def reconstruct(shares, field: PrimeField) -> Scalar:

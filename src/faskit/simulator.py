@@ -40,7 +40,7 @@ from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, ServiceProvider, conclude,
                        enroll, message_to_wire, pd_run_authentication,
-                       request_challenge)
+                       plaintext_scores, request_challenge)
 from .sharing import ThresholdParams
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
@@ -388,13 +388,9 @@ def _scan_plaintext_scores(messages, seen: dict) -> None:
                             MessageType.AUTH_RESULT):
             continue
         seen["external_messages_scanned"] += 1
-        if msg.type is MessageType.SCORE_REQUEST \
-                and "scores" in msg.payload:
-            seen["plaintext_score_values"] += len(msg.payload["scores"])
-            seen["message_types_with_plaintext_scores"].add(msg.type.value)
-        if msg.type is MessageType.SCORE_RESPONSE \
-                and "value" in msg.payload:
-            seen["plaintext_score_values"] += 1
+        shown = plaintext_scores(msg)
+        if shown:
+            seen["plaintext_score_values"] += len(shown)
             seen["message_types_with_plaintext_scores"].add(msg.type.value)
 
 

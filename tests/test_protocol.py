@@ -18,8 +18,8 @@ from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
                              Message, MessageType, PersonalDevice,
                              ServiceProvider, conclude, enroll,
                              message_from_wire, message_to_wire,
-                             pd_run_authentication, request_challenge,
-                             signing_message_bytes)
+                             pd_run_authentication, plaintext_scores,
+                             request_challenge, signing_message_bytes)
 from faskit.protocol import _TRANSCRIPT_WINDOW
 from faskit.sharing import ThresholdParams
 from faskit.thresholdsig import Signature
@@ -507,6 +507,43 @@ def test_response_bound_to_wrong_sp_is_denied(sim_group):
     assert result.payload == {"granted": False, "reason": "signature"}
 
 
+def respace(nonce):
+    """The nonce's hex digits with a space between its bytes."""
+    return " ".join(nonce[i:i + 2] for i in range(0, len(nonce), 2))
+
+
+# Each alters an issued Challenge before it reaches the gateway.
+MALFORMED_CHALLENGES = {
+    "sp-id-an-int": lambda c: dataclasses.replace(
+        c, payload=dict(c.payload, sp_id=5)),
+    "nonce-not-hex": lambda c: dataclasses.replace(
+        c, payload=dict(c.payload, nonce="zz")),
+    "nonce-none": lambda c: dataclasses.replace(
+        c, payload=dict(c.payload, nonce=None)),
+    "nonce-respaced": lambda c: dataclasses.replace(
+        c, payload=dict(c.payload, nonce=respace(c.payload["nonce"]))),
+    "nonce-one-byte": lambda c: dataclasses.replace(
+        c, payload=dict(c.payload, nonce="ab")),
+    "payload-a-list": lambda c: dataclasses.replace(c, payload=[1]),
+    "session-id-a-list": lambda c: dataclasses.replace(c, session_id=["x"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHALLENGES))
+def test_malformed_challenge_is_denied_before_any_device(sim_group, name):
+    # The gateway judges the Challenge before it contacts a device: a
+    # field of the wrong type, or a nonce other than 2 * NONCE_BYTES hex
+    # digits, ends in its own denial and nothing reaches the SP.
+    pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
+    _, challenge = request_challenge("user1", sp, now=0)
+    flow = pd_run_authentication(
+        pd, dds, MALFORMED_CHALLENGES[name](challenge), now=0, rng=rng)
+    assert [m.payload for m in flow] == [
+        {"granted": False, "reason": "challenge"}]
+    assert conclude(pd, sp, flow, now=0) == flow
+    assert not any(dd.transcript for dd in dds)
+
+
 @pytest.mark.parametrize("key, recode", [
     ("R", lambda v: "0x" + v), ("s", lambda v: " " + v)],
     ids=["R-0x", "s-space"])
@@ -562,6 +599,22 @@ def test_cloud_plain_flow_exposes_scores_to_fasp(sim_group):
     _, result = authenticate(pd, dds, sp, rng, fasp=fasp)
     assert result.payload["granted"] is True
     assert fasp.state_snapshot()["plaintext_scores"] != []
+
+
+def test_scores_added_to_an_encrypted_request_show_in_the_snapshot(
+        sim_group):
+    # A forger adds plaintext scores to an encrypted request in transit.
+    # The service now holds them in its transcript, and its inspection
+    # reports them.
+    pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
+                                          score_mode="cloud-encrypted")
+    _, result = authenticate(pd, dds, sp, rng, fasp=fasp,
+                             transit_hook=replace_first(
+                                 MessageType.SCORE_REQUEST,
+                                 set_field("scores", {"gait": 90}),
+                                 by_pd=True))
+    assert result.payload == {"granted": True, "reason": "ok"}
+    assert fasp.state_snapshot() == {"plaintext_scores": [("gait", 90)]}
 
 
 def test_forged_score_response_cannot_open_the_gate(sim_group):
@@ -804,6 +857,13 @@ def prefix_first_commitment(payload):
     return payload
 
 
+def lift_first_commitment(payload):
+    """C_0 + p in place of C_0: the same residue mod p, encoded twice."""
+    first, *rest = payload["commitments"]
+    payload["commitments"] = [format(int(first, 16) + SIM.p, "x"), *rest]
+    return payload
+
+
 @functools.lru_cache(maxsize=None)
 def make_user_n_sq():
     """n^2 of the Paillier key make_user gives a CASE2 t=1 n=3 user."""
@@ -892,6 +952,9 @@ TRANSIT_MUTATIONS = {
     "helper-commitment-lax-0x": (Case.CASE3, "local-bypass",
                                  MessageType.HELPER_DELIVERY, True,
                                  prefix_first_commitment, ["dd2", "dd3"]),
+    "helper-commitment-plus-p": (Case.CASE3, "local-bypass",
+                                 MessageType.HELPER_DELIVERY, True,
+                                 lift_first_commitment, ["dd2", "dd3"]),
 }
 
 
@@ -1031,6 +1094,8 @@ def test_hostile_field_in_transit_ends_in_a_decision(case, score_mode,
     messages, result = authenticate(pd, dds, sp, rng, fasp=fasp,
                                     transit_hook=hook)
     assert result.type is MessageType.AUTH_RESULT
+    assert fasp is None or isinstance(
+        fasp.state_snapshot()["plaintext_scores"], list)
     if not result.payload["granted"]:
         assert isinstance(result.payload["reason"], str)
         assert result.payload["reason"] not in ("", "ok")
@@ -1270,6 +1335,9 @@ def test_entity_transcripts_keep_the_last_window(sim_group):
 
 
 def test_plain_scoring_service_keeps_the_last_window(sim_group):
+    # The service keeps the last _TRANSCRIPT_WINDOW messages, 32 requests
+    # and their 32 replies; its inspection reports every plaintext score
+    # they show: three scores and a fused value per session.
     pd, dds, sp, fasp, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
                                           score_mode="cloud-plain")
     for now in range(300):
@@ -1278,8 +1346,14 @@ def test_plain_scoring_service_keeps_the_last_window(sim_group):
         _, result = authenticate(pd, dds, sp, rng, fasp=fasp, now=now)
     assert result.payload["granted"] is True
     seen = fasp.state_snapshot()["plaintext_scores"]
-    assert len(seen) <= _TRANSCRIPT_WINDOW
-    assert seen[-3:] == [("gait", 99), ("heartbeat", 99), ("location", 99)]
+    assert seen == [entry for msg in fasp.transcript
+                    for entry in plaintext_scores(msg)]
+    assert len(seen) == 32 * 3 + 32
+    assert [name for name, _ in seen].count("fused") == 32
+    fused = fasp.transcript[-1].payload["value"]
+    assert fused == pytest.approx(0.99)
+    assert seen[-4:] == [("gait", 99), ("location", 99), ("heartbeat", 99),
+                         ("fused", fused)]
 
 
 def test_devices_talk_only_to_the_gateway(sim_group):

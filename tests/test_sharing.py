@@ -54,6 +54,15 @@ def test_verify_share_known_answers(kat_group):
         assert verify_share(Share(1, s), single, kat_group)
 
 
+@pytest.mark.parametrize("commitments", [(13 + 23, 16), (13, 16 + 23)],
+                         ids=["C0-plus-p", "C1-plus-p"])
+def test_verify_share_rejects_a_commitment_outside_the_group(kat_group,
+                                                             commitments):
+    # C_k + p is C_k mod p; only the encoding in [1, p) is accepted.
+    comms = FeldmanCommitments(commitments=commitments)
+    assert not verify_share(Share(2, 4), comms, kat_group)
+
+
 def test_verify_share_rejects_index_zero(kat_group):
     comms = FeldmanCommitments(commitments=(13, 16))
     with pytest.raises(ParameterError):
