@@ -47,9 +47,6 @@ class _ScriptedRng:
     def randrange(self, *args):
         return self._values.pop(0)
 
-    def getrandbits(self, _bits):
-        return self._values.pop(0)
-
 
 def _rng(seed: int | None) -> random.Random:
     """random.Random(seed) for a reproducible demo; without a seed, keys

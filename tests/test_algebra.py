@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from faskit import algebra
 from faskit.algebra import (FixedBaseComb, GroupParams, PrimeField, get_group,
                             group_names, is_probable_prime,
                             lagrange_coefficient, mod_inv, read_hex, typed)
@@ -134,6 +135,42 @@ def test_group_json_round_trip():
         GroupParams.from_json({"p": "17"})
     with pytest.raises(ParameterError):
         get_group("nope")
+
+
+def test_shipped_moduli_are_the_named_ps_and_prime():
+    # is_probable_prime takes each named p on trust; this is its proof.
+    names = group_names()
+    assert algebra._SHIPPED_MODULI == {get_group(n).p for n in names}
+    assert not algebra._SHIPPED_MODULI & {get_group(n).q for n in names}
+    assert all(algebra._miller_rabin(p) for p in algebra._SHIPPED_MODULI)
+
+
+def test_only_the_named_moduli_skip_miller_rabin(monkeypatch):
+    prod = get_group("prod2048")
+    proven = []
+    real = algebra._miller_rabin
+
+    def recording(n):
+        proven.append(n)
+        return real(n)
+
+    monkeypatch.setattr(algebra, "_miller_rabin", recording)
+    assert GroupParams.from_json(prod.to_json()) == prod
+    assert proven == [prod.q]
+    proven.clear()
+    GroupParams(p=103, q=17, g=64)
+    assert proven == [103, 17]
+
+
+def test_is_probable_prime_agrees_with_miller_rabin_near_the_set():
+    p = algebra._PROD_P
+    past_sieve = next(n for n in range(p + 2, p + 10 ** 4, 2)
+                      if all(n % s for s in algebra._SMALL_PRIMES)
+                      and not algebra._miller_rabin(n))
+    composites = (p * algebra._PROD_Q, past_sieve)
+    qs = tuple(get_group(name).q for name in group_names())
+    for n in composites + qs:
+        assert is_probable_prime(n) == algebra._miller_rabin(n) == (n in qs)
 
 
 def test_typed_takes_only_the_exact_type():
