@@ -164,8 +164,7 @@ class GroupParams:
     def __post_init__(self):
         if not is_probable_prime(self.p):
             raise ParameterError("group modulus p is not prime")
-        if not is_probable_prime(self.q):
-            raise ParameterError("subgroup order q is not prime")
+        PrimeField(self.q)   # q must be a prime >= 3, as for any field
         if (self.p - 1) % self.q != 0:
             raise ParameterError("q does not divide p - 1")
         if self.g in (0, 1) or self.g >= self.p:
@@ -211,12 +210,14 @@ class GroupParams:
     def from_json(cls, obj: dict) -> "GroupParams":
         try:
             p, q, g = (read_hex(obj[key]) for key in "pqg")
-        except (KeyError, TypeError, ParameterError) as exc:
+        except MALFORMED as exc:
             raise ParameterError(f"malformed group parameters: {exc}") from exc
         return cls(p=p, q=q, g=g)
 
 
-# The two readers of a value from a scenario file or a message payload.
+# The two readers of a value from outside, and what refusing one raises.
+MALFORMED = (KeyError, TypeError, ValueError, ParameterError,
+             RecursionError, OverflowError)   # deep json, float(huge int)
 
 def typed(value, *types):
     """value itself when its exact type is one of types, so a bool is not

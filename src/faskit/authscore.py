@@ -25,6 +25,7 @@ from .errors import NonInvertibleError, ParameterError
 
 SCORE_SCALE = 100          # quantization: score 0..1 -> integer 0..100
 WEIGHT_SCALE = 10 ** 6     # integerized fusion weights for the cloud path
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970   # float() overflows from here on
 
 
 class Modality(str, Enum):
@@ -62,7 +63,7 @@ class FusionPolicy:
     def __post_init__(self):
         if not self.weights or all(w <= 0 for w in self.weights.values()):
             raise ParameterError("policy needs at least one positive weight")
-        if not all(0 <= w * WEIGHT_SCALE < math.inf
+        if not all(0 <= w * WEIGHT_SCALE < _FLOAT_LIMIT
                    for w in self.weights.values()):
             raise ParameterError("weights must be finite and non-negative")
         if not 0.0 <= self.theta <= 1.0:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
-Exit codes: 0 success, 1 authentication denied (auth command), 2 bad
-configuration or parameters, 3 internal invariant violation. Files are
-only ever written to paths given explicitly via --output / --transcript.
+Exit codes: 0 success, 1 only for authentication denied (auth), 2 bad
+configuration or parameters, 3 any other error, its traceback on stderr.
+Files are written only to paths passed via --output / --transcript.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import json
 import random
 import secrets
 import sys
+import traceback
 
 from . import simulator
-from .algebra import (PrimeField, get_group, group_names,
+from .algebra import (MALFORMED, PrimeField, get_group, group_names,
                       lagrange_coefficient, mod_inv)
 from .authscore import (FusionPolicy, Modality, ModalityReading,
                         fuse_encrypted, fuse_local, gate, keypair_from_primes,
@@ -183,7 +184,7 @@ def _load_config(args) -> ScenarioConfig:
     try:
         with open(args.config) as handle:
             obj = json.load(handle)
-    except (OSError, ValueError) as exc:   # unreadable, not UTF-8 or JSON
+    except (OSError, *MALFORMED) as exc:   # unreadable, not UTF-8 or JSON
         raise ConfigError(f"--config: {exc}") from None
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
@@ -423,9 +424,10 @@ def main(argv=None) -> int:
         _emit({"error": str(exc), "kind": "config"},
               f"error: {exc}", None)
         return 2
-    except FaskitError as exc:
+    except Exception as exc:
         _emit({"error": str(exc), "kind": "internal"},
               f"internal error: {exc}", None)
+        traceback.print_exc()
         return 3
 
 

@@ -46,7 +46,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import GroupParams, read_hex, typed
+from .algebra import MALFORMED, GroupParams, read_hex, typed
 from .authscore import (SCORE_SCALE, AuthScore, FusionPolicy, Modality,
                         ModalityReading, PheKeypair, fuse_encrypted,
                         fuse_local, gate, max_fused_plaintext,
@@ -69,8 +69,6 @@ NONCE_TTL = 100
 SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 CLOUD_AGREEMENT_TOL = 0.01
 _TRANSCRIPT_WINDOW = 64
-# What parsing a hostile payload may raise; each marks it malformed.
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, ParameterError)
 
 
 class MessageType(str, Enum):
@@ -115,14 +113,12 @@ def message_from_wire(line: str) -> Message:
     not a JSON object of this wire version with every field."""
     try:
         obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        if obj.get("v") != WIRE_VERSION:
-            raise ValueError(f"unsupported wire version {obj.get('v')!r}")
+        if obj["v"] != WIRE_VERSION:
+            raise ValueError(f"unsupported wire version {obj['v']!r}")
         return Message(type=MessageType(obj["type"]), sender=obj["from"],
                        receiver=obj["to"], session_id=obj["session"],
                        payload=obj["payload"])
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise ParameterError(f"malformed wire line: {exc}") from None
 
 
@@ -221,7 +217,7 @@ class ServiceProvider(_Transcript):
         try:
             nonce_hex = response.payload["nonce"]
             entry = self._nonces[nonce_hex]
-        except _MALFORMED:
+        except MALFORMED:
             return self._result(response, False, "nonce-unknown")
         if entry["used"]:
             return self._result(response, False, "replay")
@@ -230,7 +226,7 @@ class ServiceProvider(_Transcript):
         pubkey = self._users[entry["user_id"]]
         try:
             sig = Signature.from_json(response.payload["signature"])
-        except _MALFORMED:
+        except MALFORMED:
             return self._result(response, False, "signature")
         message = signing_message_bytes(self.sp_id, _read_nonce(nonce_hex))
         if not verify_signature(pubkey, message, sig):
@@ -306,7 +302,7 @@ class FaspService(_Transcript):
                 fused = fuse_encrypted(
                     ciphertexts, policy.integer_weights(ciphertexts), pub)
                 payload["ciphertext"] = format(fused, "x")
-        except _MALFORMED:
+        except MALFORMED:
             pass
         reply = Message(type=MessageType.SCORE_RESPONSE,
                         sender=self.fasp_id, receiver=msg.sender,
@@ -598,7 +594,7 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
         typed(session, str)
         sp_id = typed(fields["sp_id"], str)
         nonce = _read_nonce(fields["nonce"])
-    except _MALFORMED:
+    except MALFORMED:
         return [_denied(pd, session, "challenge")]
     flow = _Flow(pd, dds, session, fasp, rng, transit_hook)
 
@@ -662,7 +658,7 @@ def _parse_reading(payload: dict) -> ModalityReading | None:
                                modality=Modality(payload["modality"]),
                                score=typed(payload["score"], float),
                                timestamp=typed(payload["timestamp"], int))
-    except _MALFORMED:
+    except MALFORMED:
         return None
 
 
@@ -728,7 +724,7 @@ def _cloud_value(pd: PersonalDevice, reply: Message, scores: dict,
         fused = _hex_below(reply.payload["ciphertext"], public.n_sq)
         weights = pd.policy.integer_weights(scores)
         rebuilt = fuse_encrypted(ciphertexts, weights, public)
-    except _MALFORMED:
+    except MALFORMED:
         return None
     if fused == rebuilt:
         plaintext = sum(w * scores[m] for m, w in weights.items()) % public.n
@@ -756,7 +752,7 @@ def _regenerate(flow: _Flow, dd: DumbDevice) -> DeviceSigner | None:
             HelperData.from_json(payload["helper"]),
             FeldmanCommitments.from_json(payload["commitments"]),
             pd.pubkey.group)
-    except _MALFORMED:
+    except MALFORMED:
         # A payload that does not parse, or a helper that does not fit
         # the device's template: the device sits out.
         return None
@@ -787,7 +783,7 @@ def _exchange(flow: _Flow, signer_row, kind: MessageType, ask: dict,
         if typed(answer.payload["index"], int) != index:
             raise ValueError("the answer names another signer")
         return _hex_below(answer.payload[key], bound)
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise InvalidPartialError(
             f"signer {index}: bad {kind.value} answer: {exc}") from exc
 

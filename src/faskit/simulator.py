@@ -32,10 +32,10 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field, replace
 
-from .algebra import get_group, read_hex, typed
+from .algebra import MALFORMED, get_group, read_hex, typed
 from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
                         phe_encrypt, phe_keygen)
-from .errors import ConfigError, NondeterminismError, ParameterError
+from .errors import ConfigError, NondeterminismError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, ServiceProvider, conclude,
@@ -76,7 +76,7 @@ class ScenarioConfig:
         for name, check in self._rules():
             try:
                 check()
-            except (ParameterError, TypeError, ValueError) as exc:
+            except MALFORMED as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
     def _rules(self):

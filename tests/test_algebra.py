@@ -109,6 +109,10 @@ def test_group_params_validation():
         GroupParams(p=23, q=7, g=2)      # q does not divide p-1
     with pytest.raises(ParameterError):
         GroupParams(p=23, q=11, g=5)     # 5^11 mod 23 != 1
+    # q = 2 is prime, divides p - 1 and is the order of 4 mod 5, but
+    # PrimeField, where the group's exponents live, needs q >= 3.
+    with pytest.raises(ParameterError, match="field modulus"):
+        GroupParams(p=5, q=2, g=4)
 
 
 def test_named_groups_load_and_satisfy_invariants():
@@ -133,6 +137,8 @@ def test_group_json_round_trip():
         assert GroupParams.from_json(obj) == group
     with pytest.raises(ParameterError):
         GroupParams.from_json({"p": "17"})
+    with pytest.raises(ParameterError, match="field modulus"):
+        GroupParams.from_json({"p": "5", "q": "2", "g": "4"})
     with pytest.raises(ParameterError):
         get_group("nope")
 

@@ -108,6 +108,20 @@ def test_policy_refuses_a_weight_the_cloud_path_cannot_scale(weight):
         FusionPolicy(weights={G: weight, L: 0.5})
 
 
+def test_policy_takes_an_int_weight_only_while_scaled_it_is_a_float():
+    # An int weight scales to an exact int, however large; the fusion
+    # later takes float() of it, which overflows from 2^1024 - 2^970 on.
+    with pytest.raises(ParameterError, match="finite"):
+        FusionPolicy(weights={G: 10 ** 400})
+    top = (2 ** 1024 - 2 ** 970 - 1) // WEIGHT_SCALE
+    assert math.isfinite(float(top * WEIGHT_SCALE))
+    assert FusionPolicy(weights={G: top}).weights == {G: top}
+    with pytest.raises(OverflowError):
+        float((top + 1) * WEIGHT_SCALE)
+    with pytest.raises(ParameterError, match="finite"):
+        FusionPolicy(weights={G: top + 1})
+
+
 @pytest.mark.parametrize("staleness_max", [-1, "3", True, 2.0])
 def test_policy_refuses_a_bad_freshness_window(staleness_max):
     # A negative window would deny every reading; a bool is not an int.

@@ -162,6 +162,19 @@ def test_simulate_transcript_to_a_directory_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_deeply_nested_config_exits_2(capsys, tmp_path, command):
+    # json raises RecursionError for nesting this deep.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [command, "--config", str(deep)]
+    if command == "rates":
+        argv += ["--sweep", "0.1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert parse(out)["kind"] == "config"
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["auth", "--help"]) == 0
@@ -179,6 +192,22 @@ def test_internal_error_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert parse(out) == {"error": "runs diverge", "kind": "internal"}
     assert err.startswith("internal error: ")
+
+
+def test_any_other_exception_exits_3_with_its_traceback(capsys, tmp_path,
+                                                       monkeypatch):
+    # Exit 1 means only a denied authentication: an exception main does
+    # not classify is an internal error.
+    def broken(config, transcript=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = run_cli(capsys, ["simulate", "--config",
+                                      write_config(tmp_path)])
+    assert code == 3
+    assert parse(out) == {"error": "boom", "kind": "internal"}
+    assert err.startswith("internal error: boom\n")
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_unknown_command_exits_2(capsys):

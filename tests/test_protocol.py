@@ -114,6 +114,12 @@ def test_malformed_wire_line_is_a_parameter_error(name):
         message_from_wire(MALFORMED_WIRE_LINES[name])
 
 
+def test_deeply_nested_wire_line_is_a_parameter_error():
+    # json's decoder raises RecursionError for nesting this deep.
+    with pytest.raises(ParameterError, match="malformed wire line"):
+        message_from_wire("[" * 100_000)
+
+
 def test_signing_message_byte_layout():
     assert signing_message_bytes("sp1", b"\x01\x02") == b"FAS-v1sp1\x01\x02"
 

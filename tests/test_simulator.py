@@ -61,6 +61,9 @@ MISTYPED = [
     ({"case": True}, "case"),
     ({"impostor": "no"}, "impostor"),
     ({"weights": {"gait": float("inf")}}, "weights"),
+    # An exact int in JSON, but too large for a float: FusionPolicy
+    # refuses it before the theta rule's policy() could overflow on it.
+    ({"weights": {"gait": 10 ** 400}}, "weights"),
     ({"theta": True}, "theta"),
     ({"present_devices": [True]}, "present_devices"),
     ({"present_devices": [2.0]}, "present_devices"),
