@@ -35,8 +35,8 @@ from .thresholdsig import (combine, keygen_dealer, sign_round1,
 
 _SEED_HELP = "reproducible demos only; without it keys come from the " \
     "OS CSPRNG"
-MODALITY_ORDER = [Modality.GAIT, Modality.LOCATION, Modality.HEARTBEAT,
-                  Modality.CUSTOM]
+# --weights and --scores list modalities in Modality's own order.
+MODALITY_ORDER = list(Modality)
 
 
 class _ScriptedRng:
@@ -95,45 +95,44 @@ def _parse_floats(text: str) -> list:
     return values
 
 
-def _build_policy(weights, theta) -> FusionPolicy:
-    if len(weights) > len(MODALITY_ORDER):
+def _setup_user(args):
+    """Enrol a fresh user on the scenario the CLI flags describe, checked
+    by the rules `simulate` applies; returns the live entities."""
+    if len(args.weights) > len(MODALITY_ORDER):
         raise ParameterError(
-            f"--weights: {len(weights)} values for "
+            f"--weights: {len(args.weights)} values for "
             f"{len(MODALITY_ORDER)} modalities")
-    return FusionPolicy(weights=dict(zip(MODALITY_ORDER, weights)),
-                        theta=theta)
-
-
-def _setup_user(args, policy: FusionPolicy):
-    """Enrol a fresh user per the CLI flags; returns the live entities."""
-    group = get_group(args.group)
+    config = ScenarioConfig(
+        case=args.case, t=args.t, n=args.n, group=args.group,
+        code_r=args.code_r, theta=args.theta,
+        weights={m.value: w for m, w in zip(MODALITY_ORDER, args.weights)})
+    group = get_group(config.group)
     rng = _rng(args.seed)
-    case = Case(args.case)
-    code = CodeParams(m=group.q.bit_length(), r=args.code_r) \
+    case = Case(config.case)
+    code = CodeParams(m=group.q.bit_length(), r=config.code_r) \
         if case is Case.CASE3 else None
     strategy = CaseStrategy(case=case, code=code)
-    modalities = list(policy.weights)
-    pd = PersonalDevice(user_id="user1", policy=policy)
+    pd = PersonalDevice(user_id="user1", policy=config.policy())
+    modalities = list(pd.policy.weights)
     dds = [DumbDevice(index=i, modalities=[modalities[(i - 1)
                                                       % len(modalities)]])
-           for i in range(1, args.n + 1)]
+           for i in config.device_indices()]
     templates = None
     if case is Case.CASE3:
         templates = {dd.index: format(rng.getrandbits(code.codeword_length),
                                       f"0{code.codeword_length}b")
                      for dd in dds}
     record = enroll(user_id="user1", strategy=strategy,
-                    params=ThresholdParams(t=args.t, n=args.n), group=group,
-                    pd=pd, dds=dds, rng=rng,
+                    params=ThresholdParams(t=config.t, n=config.n),
+                    group=group, pd=pd, dds=dds, rng=rng,
                     enrolment_templates=templates)
     sp = ServiceProvider(sp_id="sp1", rng=rng)
     sp.register_user(record)
-    return group, rng, pd, dds, sp, record, templates
+    return rng, pd, dds, sp, record, templates
 
 
 def _cmd_enroll(args) -> int:
-    policy = _build_policy(args.weights, args.theta)
-    _, _, pd, dds, _, record, _ = _setup_user(args, policy)
+    _, pd, dds, _, record, _ = _setup_user(args)
     out = {
         "user_id": record.user_id,
         "case": args.case,
@@ -148,8 +147,8 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_auth(args) -> int:
-    policy = _build_policy(args.weights, args.theta)
-    group, rng, pd, dds, sp, _, templates = _setup_user(args, policy)
+    rng, pd, dds, sp, _, templates = _setup_user(args)
+    policy = pd.policy
     scores = args.scores
     modalities = list(policy.weights)
     for dd in dds:

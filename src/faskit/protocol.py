@@ -585,8 +585,12 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     return the Message to deliver in its place; dropping a message is an
     availability threat, which is out of scope. A Challenge whose session
     id or sp_id is no str, or whose nonce is not 2 * NONCE_BYTES hex
-    digits, is denied "challenge" before any device is contacted.
+    digits, is denied "challenge" before any device is contacted; a cloud
+    score mode with no scoring service is a ParameterError even earlier.
     """
+    if pd.score_mode != "local-bypass" and fasp is None:
+        raise ParameterError(
+            f"score mode {pd.score_mode!r} needs a scoring service")
     session = challenge.session_id
     pd.record(challenge)
     fields = _fields(challenge)
@@ -667,9 +671,6 @@ def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
     local = fuse_local(flow.readings, pd.policy, now)
     if pd.score_mode == "local-bypass" or not local.contributing:
         return local
-    if flow.fasp is None:
-        raise ParameterError(
-            f"score mode {pd.score_mode!r} needs a scoring service")
 
     scores = {m: quantize_score(v) for m, v in
               modality_means(flow.readings, pd.policy, now).items()}

@@ -1,10 +1,13 @@
 """Deterministic scenario harness for the authentication protocol.
 
-Each trial builds a fresh user (enrolment included), runs one
-authentication attempt, and classifies the outcome. Everything random
-flows from one per-trial generator seeded with scenario_seed XOR
-trial_index; within a trial the draws happen in a fixed, documented
-order:
+A ScenarioConfig is one user's set-up (case, t of n devices, fusion
+policy) and the trials to run on it. It checks itself when built,
+`replace` copies included, and cannot be changed afterwards; the CLI's
+enroll and auth build one from their flags. Each trial builds a fresh
+user (enrolment included), runs one authentication attempt, and
+classifies the outcome. Everything random flows from one per-trial
+generator seeded with scenario_seed XOR trial_index; within a trial the
+draws happen in a fixed, documented order:
 
   1. enrolment template bits, device by device (CASE3 only),
   2. authentication-time sensor draws per device: template noise bits
@@ -49,7 +52,7 @@ OUT_OF_SCOPE_NOTE = ("availability threats (DoS against devices or "
                      "services) are not simulated")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     case: int = 3
     t: int = 2
@@ -70,7 +73,7 @@ class ScenarioConfig:
     seed: int = 0
     trials: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Run the rule table in order; the first failing rule becomes a
         ConfigError that names its field."""
         for name, check in self._rules():
@@ -125,7 +128,7 @@ class ScenarioConfig:
         yield "present_devices", lambda: _require(
             self.present_devices is None
             or {typed(i, int) for i in self.present_devices}
-            <= set(self._device_indices()),
+            <= set(self.device_indices()),
             "names a device that is not enrolled")
 
     def _check_paillier_bits(self) -> None:
@@ -138,7 +141,7 @@ class ScenarioConfig:
         _require(typed(self.paillier_bits, int) >= least,
                  f"must be >= {least}")
 
-    def _device_indices(self) -> list:
+    def device_indices(self) -> list:
         start = 2 if self.pd_holds_share and self.case != 1 else 1
         return list(range(start, self.n + 1))
 
@@ -158,9 +161,7 @@ class ScenarioConfig:
         unknown = sorted(set(obj) - known)
         if unknown:
             raise ConfigError(f"{unknown[0]}: unknown config field")
-        config = cls(**obj)
-        config.validate()
-        return config
+        return cls(**obj)
 
 
 @dataclass
@@ -218,7 +219,7 @@ class _Trial:
 
         mods = sorted(self.policy.weights, key=lambda m: m.value)
         self.dds = [DumbDevice(index=i, modalities=[mods[pos % len(mods)]])
-                    for pos, i in enumerate(config._device_indices())]
+                    for pos, i in enumerate(config.device_indices())]
         length = self.code.codeword_length
 
         # Stage 1: enrolment templates.
@@ -400,7 +401,6 @@ def run_scenario(config: ScenarioConfig, transcript=None) -> SimReport:
     `transcript`, when given, is a text stream the caller owns and
     closes; every message goes to it as one wire-format line, in the
     order the digest hashes them."""
-    config.validate()
     adversary = _ADVERSARIES[config.adversary]
     digest = hashlib.sha256()
     reasons = []

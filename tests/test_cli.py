@@ -247,6 +247,19 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, tmp_path, argv, flag):
     assert flag in obj["error"]
 
 
+@pytest.mark.parametrize("argv,field", [
+    # Case 2 signs without a fuzzy extractor, yet an even r is refused as
+    # it is in a scenario file.
+    (["auth", "--case", "2", "--code-r", "4"], "code_r"),
+    (["enroll", "--t", "3", "--n", "2"], "t"),
+], ids=["code_r", "t"])
+def test_enroll_and_auth_flags_follow_the_scenario_rules(capsys, argv,
+                                                         field):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert parse(out)["error"].startswith(field + ":")
+
+
 def test_unreadable_config_or_output_exits_2(capsys, tmp_path):
     listed = tmp_path / "list.json"
     listed.write_text("[1]")

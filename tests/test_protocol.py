@@ -826,10 +826,14 @@ def test_device_with_no_stored_helper_sits_out(sim_group):
 
 
 def test_cloud_score_mode_without_a_scoring_service_is_refused(sim_group):
+    # Refused before any device is contacted: no message crosses a link.
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group,
                                        score_mode="cloud-plain")
+    crossed = []
     with pytest.raises(ParameterError, match="scoring service"):
-        authenticate(pd, dds, sp, rng)
+        authenticate(pd, dds, sp, rng,
+                     transit_hook=lambda msg: crossed.append(msg) or msg)
+    assert crossed == []
 
 
 def garble_ciphertexts(payload):

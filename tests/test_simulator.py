@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -41,7 +42,7 @@ def test_config_validation_names_the_field():
     ]
     for overrides, path in bad:
         with pytest.raises(ConfigError) as err:
-            small(**overrides).validate()
+            small(**overrides)
         assert str(err.value).startswith(path + ":"), (overrides, err.value)
 
 
@@ -81,7 +82,7 @@ def test_mistyped_config_field_is_a_config_error(overrides, path, tmp_path,
     from faskit.cli import main
 
     with pytest.raises(ConfigError) as err:
-        small(**overrides).validate()
+        small(**overrides)
     assert str(err.value).startswith(path + ":"), err.value
     obj = {**small().to_json(), **overrides}
     with pytest.raises(ConfigError) as err:
@@ -94,6 +95,17 @@ def test_mistyped_config_field_is_a_config_error(overrides, path, tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "config"
     assert report["error"].startswith(path + ":")
+
+
+def test_config_is_checked_when_built_and_cannot_change():
+    with pytest.raises(ConfigError, match="^case:"):
+        ScenarioConfig(case=9)
+    with pytest.raises(ConfigError, match="^p_flip:"):
+        dataclasses.replace(small(), p_flip=0.9)
+    config = small()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.p_flip = 0.9
+    assert config.p_flip == 0.01
 
 
 def test_config_json_round_trip_rejects_unknown_fields():
@@ -371,9 +383,8 @@ def test_cloud_encrypted_paillier_bits_must_hold_the_fused_score(
     # the gateway believes the service in every trial. Other score modes
     # keep the floor of 16.
     with pytest.raises(ConfigError, match="^paillier_bits: must be >= 29"):
-        small(case=2, score_mode="cloud-encrypted", paillier_bits=28
-              ).validate()
-    small(case=2, score_mode="cloud-plain", paillier_bits=16).validate()
+        small(case=2, score_mode="cloud-encrypted", paillier_bits=28)
+    small(case=2, score_mode="cloud-plain", paillier_bits=16)
     modes = []
     real = protocol._compute_auth_score
     monkeypatch.setattr(protocol, "_compute_auth_score",
