@@ -1,21 +1,22 @@
 """Soak check: a long-lived service provider and gateway keep bounded memory.
 
 For each case and score mode in COMBINATIONS, the simulator's world for
-one trial of that scenario (t=2, n=5, the `sim` group, its default
-weights, seed 1) is built once: one service provider, one gateway, five
-devices with genuine readings and, in the cloud score modes, one scoring
-service. They then authenticate session after session on the trial's nonce
-stream, with `now` advancing by one each session. The first FILL sessions
-run untraced and fill every bounded window: each DeviceSigner's session
-ids, the provider's nonces, the plain scoring service's scores and every
-transcript. Then `tracemalloc` traces two runs. The first, one signer
-window long, replaces every object those windows hold with one allocated
-under tracing; until then each evicted object was allocated untraced, so
-freeing it does not lower traced memory and a bounded window would read as
-~60 B of growth per session. The second run, of RUN sessions, must grow
-traced memory by less than BOUND bytes per session; keeping one session-id
-string per session (~60 B) would fail that. A traced session costs about
-30 times an untraced one, so each combination takes one to three minutes.
+trial 0 of that scenario (t=2, n=5, the `sim` group, its default weights,
+seed 1), a `_Trial` on random.Random(1), is built once: one service
+provider, one gateway, five devices with genuine readings and, in the
+cloud score modes, one scoring service. They then authenticate session
+after session on the trial's nonce stream, with `now` advancing by one
+each session. The first FILL sessions run untraced and fill every bounded
+window: each DeviceSigner's session ids, the provider's nonces, the plain
+scoring service's scores and every transcript. Then `tracemalloc` traces
+two runs. The first, one signer window long, replaces every object those
+windows hold with one allocated under tracing; until then each evicted
+object was allocated untraced, so freeing it does not lower traced memory
+and a bounded window would read as ~60 B of growth per session. The second
+run, of RUN sessions, must grow traced memory by less than BOUND bytes per
+session; keeping one session-id string per session (~60 B) would fail
+that. A traced session costs about 30 times an untraced one, so each
+combination takes one to three minutes.
 
     PYTHONPATH=src python3 scripts/soak.py
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import sys
 import tracemalloc
 
@@ -47,7 +49,7 @@ class Soak:
     def __init__(self, case: int, score_mode: str):
         self.trial = _Trial(ScenarioConfig(case=case, t=2, n=5,
                                            score_mode=score_mode, seed=1,
-                                           trials=1), 0)
+                                           trials=1), random.Random(1))
         self.now = 0
 
     def run(self, sessions: int) -> None:

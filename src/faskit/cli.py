@@ -24,12 +24,10 @@ from .authscore import (FusionPolicy, Modality, ModalityReading,
                         normalize_fused, phe_decrypt, phe_encrypt, phe_scale)
 from .errors import ConfigError, FaskitError, ParameterError
 from .fuzzyextractor import CodeParams, encode, fe_enroll, fe_reproduce
-from .protocol import (Case, CaseStrategy, DumbDevice, PersonalDevice,
-                       ServiceProvider, conclude, enroll,
-                       pd_run_authentication, request_challenge)
+from .protocol import conclude, pd_run_authentication, request_challenge
 from .sharing import Share, ThresholdParams, reconstruct, share_secret, \
     verify_share
-from .simulator import ScenarioConfig, run_scenario
+from .simulator import ScenarioConfig, _Trial, run_scenario
 from .thresholdsig import (combine, keygen_dealer, sign_round1,
                            sign_round2, verify)
 
@@ -95,9 +93,20 @@ def _parse_floats(text: str) -> list:
     return values
 
 
-def _setup_user(args):
-    """Enrol a fresh user on the scenario the CLI flags describe, checked
-    by the rules `simulate` applies; returns the live entities."""
+def _parse_scores(text: str) -> list:
+    """At least one comma-separated score, each in [0, 1]."""
+    values = _parse_floats(text)
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected scores in [0, 1], got {text!r}")
+    return values
+
+
+def _setup_user(args) -> _Trial:
+    """The user's world as `simulate` builds it: a seeded one is trial 0
+    of the scenario the flags describe, run with that seed; without
+    --seed every draw comes from the OS CSPRNG. The scenario's rules
+    check the flags."""
     if len(args.weights) > len(MODALITY_ORDER):
         raise ParameterError(
             f"--weights: {len(args.weights)} values for "
@@ -105,38 +114,18 @@ def _setup_user(args):
     config = ScenarioConfig(
         case=args.case, t=args.t, n=args.n, group=args.group,
         code_r=args.code_r, theta=args.theta,
-        weights={m.value: w for m, w in zip(MODALITY_ORDER, args.weights)})
-    group = get_group(config.group)
-    rng = _rng(args.seed)
-    case = Case(config.case)
-    code = CodeParams(m=group.q.bit_length(), r=config.code_r) \
-        if case is Case.CASE3 else None
-    strategy = CaseStrategy(case=case, code=code)
-    pd = PersonalDevice(user_id="user1", policy=config.policy())
-    modalities = list(pd.policy.weights)
-    dds = [DumbDevice(index=i, modalities=[modalities[(i - 1)
-                                                      % len(modalities)]])
-           for i in config.device_indices()]
-    templates = None
-    if case is Case.CASE3:
-        templates = {dd.index: format(rng.getrandbits(code.codeword_length),
-                                      f"0{code.codeword_length}b")
-                     for dd in dds}
-    record = enroll(user_id="user1", strategy=strategy,
-                    params=ThresholdParams(t=config.t, n=config.n),
-                    group=group, pd=pd, dds=dds, rng=rng,
-                    enrolment_templates=templates)
-    sp = ServiceProvider(sp_id="sp1", rng=rng)
-    sp.register_user(record)
-    return rng, pd, dds, sp, record, templates
+        weights={m.value: w for m, w in zip(MODALITY_ORDER, args.weights)},
+        seed=0 if args.seed is None else args.seed, trials=1)
+    return _Trial(config, _rng(args.seed))
 
 
 def _cmd_enroll(args) -> int:
-    _, pd, dds, _, record, _ = _setup_user(args)
+    trial = _setup_user(args)
+    pd, dds = trial.pd, trial.dds
     out = {
-        "user_id": record.user_id,
+        "user_id": pd.user_id,
         "case": args.case,
-        "public_key": format(record.pubkey.y, "x"),
+        "public_key": format(pd.pubkey.y, "x"),
         "commitments": pd.commitments.to_json(),
         "pd_state": pd.persistent_state(),
         "device_states": [dd.persistent_state() for dd in dds],
@@ -147,22 +136,21 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_auth(args) -> int:
-    rng, pd, dds, sp, _, templates = _setup_user(args)
+    trial = _setup_user(args)
+    pd, dds, sp = trial.pd, trial.dds, trial.sp
     policy = pd.policy
     scores = args.scores
-    modalities = list(policy.weights)
     for dd in dds:
         modality = dd.modalities[0]
-        dd.current_scores = {modality: scores[modalities.index(modality)
+        dd.current_scores = {modality: scores[MODALITY_ORDER.index(modality)
                                               % len(scores)]}
-        if templates is not None:
-            dd.current_template = templates[dd.index]
     readings = [ModalityReading(dd.device_id, m, score, 0)
                 for dd in dds for m, score in dd.current_scores.items()]
     fused = fuse_local(readings, policy, 0)
 
     req, challenge = request_challenge("user1", sp, now=0)
-    flow = pd_run_authentication(pd, dds, challenge, now=0, rng=rng)
+    flow = pd_run_authentication(pd, dds, challenge, now=0,
+                                 rng=trial.rng_nonce)
     result = conclude(pd, sp, flow, now=0)[-1]
     granted = bool(result.payload["granted"])
     out = {
@@ -383,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[0.5, 0.3, 0.2],
                        help="comma-separated modality weights")
         if name == "auth":
-            p.add_argument("--scores", type=_parse_floats,
+            p.add_argument("--scores", type=_parse_scores,
                            default=[0.9, 0.9, 0.9],
                            help="comma-separated per-modality scores")
         common(p)

@@ -2,12 +2,12 @@
 
 A ScenarioConfig is one user's set-up (case, t of n devices, fusion
 policy) and the trials to run on it. It checks itself when built,
-`replace` copies included, and cannot be changed afterwards; the CLI's
-enroll and auth build one from their flags. Each trial builds a fresh
-user (enrolment included), runs one authentication attempt, and
-classifies the outcome. Everything random flows from one per-trial
-generator seeded with scenario_seed XOR trial_index; within a trial the
-draws happen in a fixed, documented order:
+`replace` copies included, and cannot be changed afterwards. A _Trial,
+the one builder of a user's world, enrols a fresh user and its devices;
+each trial runs one authentication attempt on its own _Trial and
+classifies the outcome, and the CLI's enroll and auth run on one. All of
+a trial's draws come from random.Random(scenario_seed XOR trial_index),
+in a fixed, documented order:
 
   1. enrolment template bits, device by device (CASE3 only),
   2. authentication-time sensor draws per device: template noise bits
@@ -47,6 +47,9 @@ from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
 from .sharing import ThresholdParams
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
+
+# Ceilings on the fields that size the work, checked before a device exists.
+SIZE_CAPS = {"n": 100, "code_r": 101, "paillier_bits": 4096}
 
 OUT_OF_SCOPE_NOTE = ("availability threats (DoS against devices or "
                      "services) are not simulated")
@@ -116,7 +119,12 @@ class ScenarioConfig:
         yield "score_mode", lambda: PersonalDevice(
             user_id="", policy=self.policy(), score_mode=self.score_mode)
         yield "group", lambda: get_group(self.group)
-        yield "code_r", lambda: CodeParams(m=1, r=typed(self.code_r, int))
+        yield "n", lambda: _require(self.n < get_group(self.group).q,
+                                    "must be below the group order q")
+        for name, cap in SIZE_CAPS.items():
+            yield name, lambda name=name, cap=cap: _require(
+                typed(getattr(self, name), int) <= cap, f"must be <= {cap}")
+        yield "code_r", lambda: CodeParams(m=1, r=self.code_r)
         yield "paillier_bits", self._check_paillier_bits
         yield "seed", lambda: _require(
             0 <= typed(self.seed, int) < 2 ** 64,
@@ -128,7 +136,7 @@ class ScenarioConfig:
         yield "present_devices", lambda: _require(
             self.present_devices is None
             or {typed(i, int) for i in self.present_devices}
-            <= set(self.device_indices()),
+            <= set(self._device_indices()),
             "names a device that is not enrolled")
 
     def _check_paillier_bits(self) -> None:
@@ -138,10 +146,10 @@ class ScenarioConfig:
         if self.score_mode == "cloud-encrypted":
             bound = max_fused_plaintext(self.policy())
             least = max(least, (bound - 1).bit_length() + 2)
-        _require(typed(self.paillier_bits, int) >= least,
+        _require(self.paillier_bits >= least,
                  f"must be >= {least}")
 
-    def device_indices(self) -> list:
+    def _device_indices(self) -> list:
         start = 2 if self.pd_holds_share and self.case != 1 else 1
         return list(range(start, self.n + 1))
 
@@ -206,20 +214,19 @@ def _flip_noise(rng: random.Random, bits: str, p_flip: float) -> str:
 
 
 class _Trial:
-    """All per-trial state: entities, pre-drawn inputs, substreams."""
+    """A user's world and all per-trial state: entities, pre-drawn
+    inputs, substreams, every draw taken from `master`."""
 
-    def __init__(self, config: ScenarioConfig, trial_index: int):
+    def __init__(self, config: ScenarioConfig, master: random.Random):
         self.config = config
-        self.index = trial_index
         self.group = get_group(config.group)
         self.code = CodeParams(m=self.group.q.bit_length(), r=config.code_r)
         self.policy = config.policy()
         self.adversary = _ADVERSARIES[config.adversary]
-        master = random.Random(config.seed ^ trial_index)
 
         mods = sorted(self.policy.weights, key=lambda m: m.value)
         self.dds = [DumbDevice(index=i, modalities=[mods[pos % len(mods)]])
-                    for pos, i in enumerate(config.device_indices())]
+                    for pos, i in enumerate(config._device_indices())]
         length = self.code.codeword_length
 
         # Stage 1: enrolment templates.
@@ -241,9 +248,10 @@ class _Trial:
                         master, enrolment[dd.index], config.p_flip)
             dd.current_scores = {dd.modalities[0]: master.uniform(low, high)}
 
-        # Stages 3 and 4: substream seeds, in this order.
-        self.rng_nonce = random.Random(master.getrandbits(64))
-        self.rng_keys = random.Random(master.getrandbits(64))
+        # Stages 3 and 4: substream seeds, in this order. The substreams
+        # are of the master's kind; SystemRandom ignores the seed it gets.
+        self.rng_nonce = type(master)(master.getrandbits(64))
+        self.rng_keys = type(master)(master.getrandbits(64))
 
         # Entities.
         strategy = CaseStrategy(
@@ -412,7 +420,8 @@ def run_scenario(config: ScenarioConfig, transcript=None) -> SimReport:
                      "message_types_with_plaintext_scores": set()}
 
     for trial_index in range(config.trials):
-        messages = adversary.run(_Trial(config, trial_index))
+        messages = adversary.run(
+            _Trial(config, random.Random(config.seed ^ trial_index)))
         if eavesdrop is not None:
             _scan_plaintext_scores(messages, eavesdrop)
         # The verdict is last; a grant's reason is "ok", a denial's never.

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from faskit import cli
 from faskit.cli import main
 from faskit.errors import NondeterminismError
+from faskit.simulator import ScenarioConfig, _Trial
 
 
 def run_cli(capsys, argv):
@@ -50,16 +52,25 @@ def test_keygen_outputs_group_and_sharing(capsys):
 
 
 def test_keygen_draws_from_csprng_unless_seeded(capsys):
-    def deal(*extra):
-        code, out, _ = run_cli(capsys, ["keygen", "--t", "1", "--n", "3",
+    def deal(command, *extra):
+        code, out, _ = run_cli(capsys, [command, "--t", "1", "--n", "3",
                                         *extra])
         assert code == 0
         return out
 
-    first, second = parse(deal()), parse(deal())
+    first, second = parse(deal("keygen")), parse(deal("keygen"))
     assert first["shares"] != second["shares"]
     assert first["public_key"] != second["public_key"]
-    assert deal("--seed", "9") == deal("--seed", "9")
+    assert deal("keygen", "--seed", "9") == deal("keygen", "--seed", "9")
+
+    # CASE3 helper data hides templates drawn from the same source.
+    first = parse(deal("enroll", "--case", "3"))
+    second = parse(deal("enroll", "--case", "3"))
+    assert first["public_key"] != second["public_key"]
+    assert first["commitments"] != second["commitments"]
+    assert first["pd_state"] != second["pd_state"]
+    assert deal("enroll", "--case", "3", "--seed", "9") == \
+        deal("enroll", "--case", "3", "--seed", "9")
 
 
 def test_enroll_dumps_states(capsys):
@@ -69,6 +80,30 @@ def test_enroll_dumps_states(capsys):
     obj = parse(out)
     assert set(obj["pd_state"]["helper_data"]) == {"1", "2", "3"}
     assert all("key_share_value" not in s for s in obj["device_states"])
+
+
+def test_seeded_enroll_is_trial_0_of_the_scenario(capsys):
+    # Devices take the weighted modalities in name order, as in simulate.
+    code, out, _ = run_cli(capsys, ["enroll", "--case", "3", "--seed", "4"])
+    assert code == 0
+    obj = parse(out)
+    assert [s["modalities"] for s in obj["device_states"]] == [
+        ["gait"], ["heartbeat"], ["location"]]
+    config = ScenarioConfig(
+        case=3, t=1, n=3, seed=4, trials=1,
+        weights={"gait": 0.5, "location": 0.3, "heartbeat": 0.2})
+    trial = _Trial(config, random.Random(4))
+    assert obj["public_key"] == format(trial.pd.pubkey.y, "x")
+
+
+def test_auth_scores_follow_modality_order(capsys):
+    # location and heartbeat are the second and third modalities, whatever
+    # the zero gait weight drops.
+    code, out, _ = run_cli(capsys, [
+        "auth", "--case", "2", "--seed", "1", "--weights", "0,1,1",
+        "--scores", "0.1,0.9,0.5"])
+    assert code == 0
+    assert abs(parse(out)["fused_score"] - 0.7) < 1e-9
 
 
 def test_auth_denies_below_threshold(capsys):
@@ -228,6 +263,9 @@ BAD_FLAGS = [
     (["auth", "--weights", "1,1,1,1,1"], "--weights"),
     # An empty score list.
     (["auth", "--scores", ","], "--scores"),
+    # A score outside [0, 1].
+    (["auth", "--scores", "1.5"], "--scores"),
+    (["auth", "--scores", "0.5,nan"], "--scores"),
     (["rates", "--sweep", "x"], "--sweep"),
     # A directory where the scenario file should be.
     (["simulate", "--config", "{tmp}"], "--config"),
@@ -252,7 +290,11 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, tmp_path, argv, flag):
     # it is in a scenario file.
     (["auth", "--case", "2", "--code-r", "4"], "code_r"),
     (["enroll", "--t", "3", "--n", "2"], "t"),
-], ids=["code_r", "t"])
+    (["enroll", "--seed", "-1"], "seed"),
+    (["auth", "--seed", "-1"], "seed"),
+    # kat's order q is 11.
+    (["auth", "--group", "kat", "--n", "11"], "n"),
+], ids=["code_r", "t", "seed-enroll", "seed-auth", "n"])
 def test_enroll_and_auth_flags_follow_the_scenario_rules(capsys, argv,
                                                          field):
     code, out, _ = run_cli(capsys, argv)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,8 +9,8 @@ from faskit import protocol, simulator
 from faskit.errors import ConfigError, NondeterminismError
 from faskit.fuzzyextractor import CodeParams
 from faskit.protocol import message_from_wire
-from faskit.simulator import (ScenarioConfig, estimate_rates,
-                              replay_transcript, run_scenario,
+from faskit.simulator import (SIZE_CAPS, ScenarioConfig, _Trial,
+                              estimate_rates, replay_transcript, run_scenario,
                               share_recovery_failure_rate)
 
 
@@ -95,6 +96,26 @@ def test_mistyped_config_field_is_a_config_error(overrides, path, tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "config"
     assert report["error"].startswith(path + ":")
+
+
+def test_fields_that_size_the_work_are_capped():
+    # kat's order q is 11, so device index 11 would be the secret's point.
+    with pytest.raises(ConfigError, match="^n: must be below the group "):
+        small(group="kat", t=1, n=11)
+    small(group="kat", t=1, n=10)
+    assert SIZE_CAPS == {"n": 100, "code_r": 101, "paillier_bits": 4096}
+    for name, cap in SIZE_CAPS.items():
+        small(**{name: cap})
+        with pytest.raises(ConfigError, match=f"^{name}: must be <= {cap}$"):
+            small(**{name: cap + 1})
+
+
+def test_trial_substreams_are_of_the_masters_kind():
+    trial = _Trial(small(case=2, trials=1), random.SystemRandom())
+    assert type(trial.rng_keys) is random.SystemRandom
+    assert type(trial.rng_nonce) is random.SystemRandom
+    seeded = _Trial(small(case=2, trials=1), random.Random(5))
+    assert type(seeded.rng_keys) is random.Random
 
 
 def test_config_is_checked_when_built_and_cannot_change():
