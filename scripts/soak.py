@@ -32,7 +32,7 @@ import random
 import sys
 import tracemalloc
 
-from faskit.protocol import conclude, pd_run_authentication, request_challenge
+from faskit.protocol import authenticate
 from faskit.simulator import ScenarioConfig, _Trial
 from faskit.thresholdsig import _SESSION_WINDOW
 
@@ -56,11 +56,8 @@ class Soak:
         trial = self.trial
         for _ in range(sessions):
             self.now += 1
-            _, challenge = request_challenge("user1", trial.sp, now=self.now)
-            flow = pd_run_authentication(trial.pd, trial.dds, challenge,
-                                         now=self.now, rng=trial.rng_nonce,
-                                         fasp=trial.fasp)
-            result = conclude(trial.pd, trial.sp, flow, now=self.now)[-1]
+            result = authenticate(trial.pd, trial.dds, trial.sp, now=self.now,
+                                  rng=trial.rng_nonce, fasp=trial.fasp)[-1]
             if not result.payload["granted"]:
                 sys.exit(f"session {self.now} denied: {result.payload}")
 

@@ -23,7 +23,7 @@ from .fuzzyextractor import (CodeParams, HelperData, decode, encode,
                              scalar_to_bits)
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, RegistrationRecord,
-                       ServiceProvider, conclude, enroll,
+                       ServiceProvider, authenticate, conclude, enroll,
                        pd_run_authentication, request_challenge,
                        signing_message_bytes)
 from .sharing import (FeldmanCommitments, Share, ThresholdParams,

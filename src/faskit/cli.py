@@ -15,6 +15,7 @@ import random
 import secrets
 import sys
 import traceback
+from dataclasses import replace
 
 from . import simulator
 from .algebra import (MALFORMED, PrimeField, get_group, group_names,
@@ -24,7 +25,7 @@ from .authscore import (FusionPolicy, Modality, ModalityReading,
                         normalize_fused, phe_decrypt, phe_encrypt, phe_scale)
 from .errors import ConfigError, FaskitError, ParameterError
 from .fuzzyextractor import CodeParams, encode, fe_enroll, fe_reproduce
-from .protocol import conclude, pd_run_authentication, request_challenge
+from .protocol import authenticate
 from .sharing import Share, ThresholdParams, reconstruct, share_secret, \
     verify_share
 from .simulator import ScenarioConfig, _Trial, run_scenario
@@ -67,6 +68,7 @@ def _cmd_keygen(args) -> int:
     out = {"group": group.to_json(), "name": args.group}
     summary = f"group {args.group}: |p|={group.p.bit_length()} bits"
     if args.n is not None:
+        _scenario(args, case=2)
         params = ThresholdParams(t=args.t, n=args.n)
         rng = _rng(args.seed)
         pubkey, shares, commitments = keygen_dealer(params, group, rng)
@@ -102,20 +104,25 @@ def _parse_scores(text: str) -> list:
     return values
 
 
+def _scenario(args, **fields) -> ScenarioConfig:
+    """The one-trial scenario the --t, --n, --group and --seed flags and
+    `fields` describe; its rules check them, as in a scenario file."""
+    return ScenarioConfig(t=args.t, n=args.n, group=args.group,
+                          seed=0 if args.seed is None else args.seed,
+                          trials=1, **fields)
+
+
 def _setup_user(args) -> _Trial:
     """The user's world as `simulate` builds it: a seeded one is trial 0
     of the scenario the flags describe, run with that seed; without
-    --seed every draw comes from the OS CSPRNG. The scenario's rules
-    check the flags."""
+    --seed every draw comes from the OS CSPRNG."""
     if len(args.weights) > len(MODALITY_ORDER):
         raise ParameterError(
             f"--weights: {len(args.weights)} values for "
             f"{len(MODALITY_ORDER)} modalities")
-    config = ScenarioConfig(
-        case=args.case, t=args.t, n=args.n, group=args.group,
-        code_r=args.code_r, theta=args.theta,
-        weights={m.value: w for m, w in zip(MODALITY_ORDER, args.weights)},
-        seed=0 if args.seed is None else args.seed, trials=1)
+    config = _scenario(
+        args, case=args.case, code_r=args.code_r, theta=args.theta,
+        weights={m.value: w for m, w in zip(MODALITY_ORDER, args.weights)})
     return _Trial(config, _rng(args.seed))
 
 
@@ -148,16 +155,15 @@ def _cmd_auth(args) -> int:
                 for dd in dds for m, score in dd.current_scores.items()]
     fused = fuse_local(readings, policy, 0)
 
-    req, challenge = request_challenge("user1", sp, now=0)
-    flow = pd_run_authentication(pd, dds, challenge, now=0,
-                                 rng=trial.rng_nonce)
-    result = conclude(pd, sp, flow, now=0)[-1]
+    messages = authenticate(pd, dds, sp, now=0, rng=trial.rng_nonce)
+    result = messages[-1]
     granted = bool(result.payload["granted"])
     out = {
         "granted": granted,
         "reason": result.payload["reason"],
         "fused_score": round(fused.value, 6),
-        "messages": len(flow) + 2,
+        # Those before the provider's verdict, when it gave one.
+        "messages": len(messages) - (result.sender == sp.sp_id),
     }
     verdict = "granted" if granted else \
         f"denied ({result.payload['reason']})"
@@ -189,7 +195,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    rows = simulator.estimate_rates(_load_config(args), args.sweep)
+    config = _load_config(args)
+    for p_flip in args.sweep:   # each by the scenario's rule, before any run
+        try:
+            replace(config, p_flip=p_flip)
+        except ConfigError as exc:
+            raise ConfigError(f"--sweep: {exc}") from None
+    rows = simulator.estimate_rates(config, args.sweep)
     _emit({"rows": rows}, f"swept {len(rows)} noise level(s)", args.output)
     return 0
 

@@ -10,9 +10,10 @@ retains of what it is sent.
 
 A flow runs: AuthRequest -> Challenge -> sensor collection -> score
 fusion and gating -> (only if the gate passes) the signing ceremony of
-the active case strategy -> AuthResponse -> AuthResult. The ceremony
-erases the nonces it drew, whether it signs or fails; enroll writes every
-share slot, replacing any earlier enrolment.
+the active case strategy -> AuthResponse -> AuthResult, and
+`authenticate` runs it as one call. The ceremony erases the nonces it
+drew, whether it signs or fails; enroll writes every share slot,
+replacing any earlier enrolment.
 
 Case strategies, which differ only in where the signing key lives:
   CASE1 - the one-of-one sharing (t=0, n=1): the PD holds the only share,
@@ -579,7 +580,8 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
 
     Returns the ordered list of messages it produced, ending with either
     the AuthResponse as it reached the SP or the PD's own denied
-    AuthResult; `conclude` ends the session from that list. If the score
+    AuthResult; `conclude` ends the session from that list, and
+    `authenticate` runs a whole session around it. If the score
     gate fails, no signing message is ever sent. `transit_hook`, if
     given, is called with each message that crosses a link and must
     return the Message to deliver in its place; dropping a message is an
@@ -646,11 +648,24 @@ def conclude(pd: PersonalDevice, sp: ServiceProvider, flow: list,
     The PD's own denial is already the verdict; it is the last message
     the PD recorded and never crossed the transit hook. Anything else is
     what reached the SP, which judges it whatever its headers now say.
+    `authenticate` calls it for a whole session.
     """
     last = flow[-1]
     if last is pd.transcript[-1] and last.type is MessageType.AUTH_RESULT:
         return list(flow)
     return [*flow, sp.verify(last, now)]
+
+
+def authenticate(pd: PersonalDevice, dds, sp: ServiceProvider, now: int,
+                 rng: random.Random, fasp: FaspService | None = None,
+                 transit_hook=None) -> list:
+    """One whole session for `pd.user_id`: the AuthRequest, the Challenge,
+    the flow `pd_run_authentication` runs on them and, last, the session's
+    verdict (the SP's, or the PD's own denial)."""
+    req, challenge = request_challenge(pd.user_id, sp, now)
+    flow = pd_run_authentication(pd, dds, challenge, now, rng, fasp=fasp,
+                                 transit_hook=transit_hook)
+    return [req, challenge, *conclude(pd, sp, flow, now)]
 
 
 def _parse_reading(payload: dict) -> ModalityReading | None:

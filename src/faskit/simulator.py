@@ -2,7 +2,8 @@
 
 A ScenarioConfig is one user's set-up (case, t of n devices, fusion
 policy) and the trials to run on it. It checks itself when built,
-`replace` copies included, and cannot be changed afterwards. A _Trial,
+`replace` copies included, and cannot be changed afterwards, not even
+inside its weights or present_devices. A _Trial,
 the one builder of a user's world, enrols a fresh user and its devices;
 each trial runs one authentication attempt on its own _Trial and
 classifies the outcome, and the CLI's enroll and auth run on one. All of
@@ -34,6 +35,7 @@ import json
 import random
 from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
 
 from .algebra import MALFORMED, get_group, read_hex, typed
 from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
@@ -41,9 +43,10 @@ from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
 from .errors import ConfigError, NondeterminismError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
-                       MessageType, PersonalDevice, ServiceProvider, conclude,
-                       enroll, message_to_wire, pd_run_authentication,
-                       plaintext_scores, request_challenge)
+                       MessageType, PersonalDevice, ServiceProvider,
+                       authenticate, conclude, enroll, message_to_wire,
+                       pd_run_authentication, plaintext_scores,
+                       request_challenge)
 from .sharing import ThresholdParams
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
@@ -60,13 +63,14 @@ class ScenarioConfig:
     case: int = 3
     t: int = 2
     n: int = 5
-    present_devices: list | None = None
+    present_devices: tuple | None = None
     p_flip: float = 0.0
     impostor: bool = False
     adversary: str = "none"
     adversary_k: int = 0
     score_mode: str = "local-bypass"
-    weights: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    weights: MappingProxyType = field(
+        default_factory=lambda: dict(DEFAULT_WEIGHTS), hash=False)
     theta: float = 0.7
     staleness_max: int = 10
     group: str = "sim"
@@ -78,12 +82,21 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Run the rule table in order; the first failing rule becomes a
-        ConfigError that names its field."""
+        ConfigError that names its field. A config that passes keeps its
+        devices as a tuple and its weights as a read-only copy, which a
+        `replace` copy hands back here and the rules read as a dict."""
+        if type(self.weights) is MappingProxyType:
+            object.__setattr__(self, "weights", dict(self.weights))
         for name, check in self._rules():
             try:
                 check()
             except MALFORMED as exc:
                 raise ConfigError(f"{name}: {exc}") from None
+        if self.present_devices is not None:
+            object.__setattr__(self, "present_devices",
+                               tuple(self.present_devices))
+        object.__setattr__(self, "weights",
+                           MappingProxyType(dict(self.weights)))
 
     def _rules(self):
         """(field, check) rows; a check fails by raising. A rule that a
@@ -159,7 +172,15 @@ class ScenarioConfig:
             theta=self.theta, staleness_max=self.staleness_max)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        obj = {**vars(self), "weights": dict(self.weights)}
+        if self.present_devices is not None:
+            obj["present_devices"] = list(self.present_devices)
+        return obj
+
+    def __reduce__(self):
+        # copy and pickle go through the JSON form: a mappingproxy does
+        # not pickle.
+        return type(self).from_json, (self.to_json(),)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
@@ -290,12 +311,9 @@ def _run_normal_trial(trial: _Trial) -> list:
     """Genuine/impostor/eavesdrop/tamper/score_inflate flow: full five
     steps, the session's verdict last."""
     make_hook = trial.adversary.make_hook
-    req, challenge = request_challenge("user1", trial.sp, now=0)
-    flow = pd_run_authentication(
-        trial.pd, trial.live_devices(), challenge, now=0,
-        rng=trial.rng_nonce, fasp=trial.fasp,
-        transit_hook=make_hook(trial) if make_hook else None)
-    return [req, challenge, *conclude(trial.pd, trial.sp, flow, now=0)]
+    return authenticate(trial.pd, trial.live_devices(), trial.sp, now=0,
+                        rng=trial.rng_nonce, fasp=trial.fasp,
+                        transit_hook=make_hook(trial) if make_hook else None)
 
 
 def _run_replay_trial(trial: _Trial) -> list:

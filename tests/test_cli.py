@@ -267,6 +267,9 @@ BAD_FLAGS = [
     (["auth", "--scores", "1.5"], "--scores"),
     (["auth", "--scores", "0.5,nan"], "--scores"),
     (["rates", "--sweep", "x"], "--sweep"),
+    # A noise level the scenario's p_flip rule refuses. (The trailing
+    # colon keeps the row above its own test id.)
+    (["rates", "--sweep", "0.9"], "--sweep:"),
     # A directory where the scenario file should be.
     (["simulate", "--config", "{tmp}"], "--config"),
 ]
@@ -294,7 +297,12 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, tmp_path, argv, flag):
     (["auth", "--seed", "-1"], "seed"),
     # kat's order q is 11.
     (["auth", "--group", "kat", "--n", "11"], "n"),
-], ids=["code_r", "t", "seed-enroll", "seed-auth", "n"])
+    # keygen deals by the same rules, as a CASE 2 scenario.
+    (["keygen", "--t", "1", "--n", "3", "--seed", "-1"], "seed"),
+    (["keygen", "--t", "0", "--n", "200"], "n"),
+    (["keygen", "--group", "kat", "--n", "11"], "n"),
+], ids=["code_r", "t", "seed-enroll", "seed-auth", "n", "seed-keygen",
+        "n-keygen-cap", "n-keygen-kat"])
 def test_enroll_and_auth_flags_follow_the_scenario_rules(capsys, argv,
                                                          field):
     code, out, _ = run_cli(capsys, argv)

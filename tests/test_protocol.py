@@ -79,10 +79,7 @@ def make_user(case, t, n, group, seed=100, score_mode="local-bypass",
 
 
 def authenticate(pd, dds, sp, rng, fasp=None, now=0, transit_hook=None):
-    req, challenge = request_challenge(pd.user_id, sp, now)
-    flow = pd_run_authentication(pd, dds, challenge, now, rng, fasp=fasp,
-                                 transit_hook=transit_hook)
-    messages = [req, challenge, *conclude(pd, sp, flow, now)]
+    messages = protocol.authenticate(pd, dds, sp, now, rng, fasp, transit_hook)
     return messages, messages[-1]
 
 
@@ -1187,6 +1184,35 @@ def test_grant_shaped_response_in_transit_is_judged_by_the_sp(sim_group):
     assert result.payload == {"granted": False, "reason": "nonce-unknown"}
     assert sp.transcript[-2] is messages[-2]
     assert sp.transcript[-1] is result
+
+
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("score_mode", protocol.SCORE_MODES)
+@pytest.mark.parametrize("forge", [False, True],
+                         ids=["honest", "nonce-forged"])
+def test_authenticate_is_the_hand_chained_session(case, score_mode, forge):
+    # On twin seeded worlds, one session through protocol.authenticate and
+    # one chained by hand put the same lines on the wire, also when a
+    # transit hook rewrites the AuthResponse's nonce.
+    def hook():
+        return replace_first(MessageType.AUTH_RESPONSE,
+                             set_field("nonce", "00" * 32),
+                             by_pd=True) if forge else None
+
+    pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, SIM,
+                                          score_mode=score_mode)
+    req, challenge = request_challenge(pd.user_id, sp, now=0)
+    flow = pd_run_authentication(pd, dds, challenge, 0, rng, fasp=fasp,
+                                 transit_hook=hook())
+    by_hand = [req, challenge, *conclude(pd, sp, flow, now=0)]
+    pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, SIM,
+                                          score_mode=score_mode)
+    session = protocol.authenticate(pd, dds, sp, 0, rng, fasp, hook())
+    assert list(map(message_to_wire, session)) == \
+        list(map(message_to_wire, by_hand))
+    assert session[-1].payload == (
+        {"granted": False, "reason": "nonce-unknown"} if forge
+        else {"granted": True, "reason": "ok"})
 
 
 def test_service_provider_forgets_nonces_past_the_ttl(sim_group):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -127,6 +128,18 @@ def test_config_is_checked_when_built_and_cannot_change():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.p_flip = 0.9
     assert config.p_flip == 0.01
+
+
+def test_config_is_frozen_all_the_way_down():
+    config = small(present_devices=[1, 2, 3])
+    with pytest.raises(TypeError):
+        config.weights["sonar"] = 1
+    with pytest.raises(AttributeError):
+        config.present_devices.append(9)
+    assert run_scenario(dataclasses.replace(config, trials=1)).grants == 1
+    assert hash(config) == hash(small(present_devices=(1, 2, 3)))
+    assert config.to_json()["present_devices"] == [1, 2, 3]
+    assert copy.deepcopy(config) == config
 
 
 def test_config_json_round_trip_rejects_unknown_fields():
