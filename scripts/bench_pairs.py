@@ -10,7 +10,8 @@ length BENCHMARK.json fixes. Then it makes one traced run per side on
 one workload, at seed 0, and keeps the per-layer rows whose names start
 with the given prefixes. The output holds every run with the
 environment authbench recorded for it, each side's median and quartiles
-per end-to-end metric, the number of pairs the change won, each side's
+per end-to-end metric, the number of pairs the change won, a verdict
+per metric (gain, worse, unresolved or same; see `verdict`), each side's
 line count of `src/faskit/*.py` (`src_lines`), and the host's platform
 and CPU.
 
@@ -61,6 +62,36 @@ def quartiles(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def verdict(old: list, new: list, wins: int, higher: bool,
+            bound: float) -> str:
+    """How the change's runs `new` read against the parent's `old`, paired
+    in order, the change winning `wins` pairs, for a metric whose
+    BENCHMARK.json `bound` is a fraction of the parent's median; the
+    first of these that holds:
+
+    - gain: the change wins at least nine tenths of the pairs, and its
+      median is better than the parent's by more than the parent's
+      interquartile range;
+    - worse: its median is worse by more than the bound;
+    - unresolved: the parent's interquartile range is wider than the bound
+      and not every change run beats every parent run;
+    - same.
+    """
+    sign = 1 if higher else -1
+    old_q, new_q = quartiles(old), quartiles(new)
+    scale = abs(old_q["median"]) or 1.0
+    better = sign * (new_q["median"] - old_q["median"])
+    spread = old_q["q3"] - old_q["q1"]
+    if 10 * wins >= 9 * len(old) and better > spread:
+        return "gain"
+    if -better > bound * scale:
+        return "worse"
+    if spread > bound * scale and not all(
+            sign * (b - a) > 0 for a in old for b in new):
+        return "unresolved"
+    return "same"
+
+
 def compare(parent_runs: list, change_runs: list, metrics: list) -> dict:
     rows = {}
     for metric in metrics:
@@ -71,6 +102,8 @@ def compare(parent_runs: list, change_runs: list, metrics: list) -> dict:
         rows[name] = {"unit": metric["unit"], "better": metric["better"],
                       "parent": quartiles(old), "change": quartiles(new),
                       "change_wins": wins, "pairs": len(old),
+                      "verdict": verdict(old, new, wins, higher,
+                                         metric["bound"]),
                       "parent_runs": old, "change_runs": new}
     return rows
 

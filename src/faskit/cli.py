@@ -15,7 +15,6 @@ import random
 import secrets
 import sys
 import traceback
-from dataclasses import replace
 
 from . import simulator
 from .algebra import (MALFORMED, PrimeField, get_group, group_names,
@@ -67,8 +66,12 @@ def _cmd_keygen(args) -> int:
     group = get_group(args.group)
     out = {"group": group.to_json(), "name": args.group}
     summary = f"group {args.group}: |p|={group.p.bit_length()} bits"
+    if args.n is None and args.t != 0:
+        raise ConfigError(f"--t: {args.t} needs --n, which deals the shares")
+    # Without --n nothing is dealt; a one-device sharing stands in, so
+    # --group and --seed still meet the scenario's rules.
+    _scenario(args, case=2, n=1 if args.n is None else args.n)
     if args.n is not None:
-        _scenario(args, case=2)
         params = ThresholdParams(t=args.t, n=args.n)
         rng = _rng(args.seed)
         pubkey, shares, commitments = keygen_dealer(params, group, rng)
@@ -105,9 +108,11 @@ def _parse_scores(text: str) -> list:
 
 
 def _scenario(args, **fields) -> ScenarioConfig:
-    """The one-trial scenario the --t, --n, --group and --seed flags and
-    `fields` describe; its rules check them, as in a scenario file."""
-    return ScenarioConfig(t=args.t, n=args.n, group=args.group,
+    """The one-trial scenario the --t, --n, --group and --seed flags
+    describe, with `fields` set over them; its rules check them, as in a
+    scenario file."""
+    fields = {"t": args.t, "n": args.n, **fields}
+    return ScenarioConfig(group=args.group,
                           seed=0 if args.seed is None else args.seed,
                           trials=1, **fields)
 
@@ -196,12 +201,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = _load_config(args)
-    for p_flip in args.sweep:   # each by the scenario's rule, before any run
-        try:
-            replace(config, p_flip=p_flip)
-        except ConfigError as exc:
-            raise ConfigError(f"--sweep: {exc}") from None
-    rows = simulator.estimate_rates(config, args.sweep)
+    try:
+        rows = simulator.estimate_rates(config, args.sweep)
+    except ConfigError as exc:   # a value the p_flip rule refuses
+        raise ConfigError(f"--sweep: {exc}") from None
     _emit({"rows": rows}, f"swept {len(rows)} noise level(s)", args.output)
     return 0
 

@@ -21,6 +21,7 @@ first hex digit, with zero padding on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import PrimeField, Scalar, read_hex, typed
 from .errors import CorruptedShareError, ParameterError
@@ -50,14 +51,18 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class HelperData:
-    """The public offset stored on the gateway: codeword XOR template."""
+    """The public offset stored on the gateway: codeword XOR template.
+    Its hex is made on the first to_json; every later dict shares it."""
 
     bits: str
     code: CodeParams
 
+    @cached_property
+    def _hex(self) -> str:
+        return bits_to_hex(self.bits)
+
     def to_json(self) -> dict:
-        return {"bits": bits_to_hex(self.bits), "m": self.code.m,
-                "r": self.code.r}
+        return {"bits": self._hex, "m": self.code.m, "r": self.code.r}
 
     @classmethod
     def from_json(cls, obj: dict) -> "HelperData":

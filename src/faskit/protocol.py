@@ -70,6 +70,13 @@ NONCE_TTL = 100
 SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 CLOUD_AGREEMENT_TOL = 0.01
 _TRANSCRIPT_WINDOW = 64
+# The longest honest wire line is a CASE 3 HelperDelivery at
+# simulator.SIZE_CAPS on prod2048 (n = 100, t = 99, code_r = 101): t + 1 =
+# 100 commitments of up to 512 hex digits (p has 2048 bits), each quoted
+# and comma-separated, and 256 x 101 helper bits as 6,464 hex digits. With
+# its headers that is 58,116 characters; 64 KiB leaves room for longer
+# ids. Honest lines are ASCII, so each character is one byte.
+MAX_WIRE_BYTES = 64 * 1024
 
 
 class MessageType(str, Enum):
@@ -111,8 +118,12 @@ def message_to_wire(msg: Message) -> str:
 
 def message_from_wire(line: str) -> Message:
     """The Message a wire line encodes; ParameterError when the line is
-    not a JSON object of this wire version with every field."""
+    longer than MAX_WIRE_BYTES, or is not a JSON object of this wire
+    version with every field."""
     try:
+        if len(line) > MAX_WIRE_BYTES:
+            raise ValueError(f"{len(line)} characters, over the "
+                             f"{MAX_WIRE_BYTES} cap")
         obj = json.loads(line)
         if obj["v"] != WIRE_VERSION:
             raise ValueError(f"unsupported wire version {obj['v']!r}")

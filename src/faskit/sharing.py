@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (GroupParams, PrimeField, Scalar, lagrange_coefficient,
                       read_hex, typed)
@@ -56,13 +57,18 @@ class Share:
 class FeldmanCommitments:
     """Public commitments (g^a_0, ..., g^a_t) to the polynomial coefficients.
 
-    The first entry commits to the secret itself: C_0 = g^secret.
+    The first entry commits to the secret itself: C_0 = g^secret. Their
+    hex is made on the first to_json; every later list shares it.
     """
 
     commitments: tuple
 
+    @cached_property
+    def _hex(self) -> tuple:
+        return tuple(format(c, "x") for c in self.commitments)
+
     def to_json(self) -> list:
-        return [format(c, "x") for c in self.commitments]
+        return list(self._hex)
 
     @classmethod
     def from_json(cls, obj) -> "FeldmanCommitments":

@@ -483,15 +483,16 @@ def estimate_rates(config: ScenarioConfig, sweep) -> list:
     For each p_flip in the sweep, FRR comes from a genuine run and FAR
     from an impostor twin (independent uniform templates and low scores)
     with the same seed and trial count. Stable estimates want at least
-    1000 trials; smaller counts are fine for smoke runs.
+    1000 trials; smaller counts are fine for smoke runs. Every sweep
+    value passes the p_flip rule before the first run.
     """
+    genuines = [replace(config, p_flip=p_flip, impostor=False,
+                        adversary="none") for p_flip in sweep]
     rows = []
-    for p_flip in sweep:
-        genuine = replace(config, p_flip=p_flip, impostor=False,
-                          adversary="none")
+    for genuine in genuines:
         frr = run_scenario(genuine).frr
         far = run_scenario(replace(genuine, impostor=True)).far
-        rows.append({"p_flip": p_flip, "frr": frr, "far": far})
+        rows.append({"p_flip": genuine.p_flip, "frr": frr, "far": far})
     return rows
 
 

@@ -270,6 +270,8 @@ BAD_FLAGS = [
     # A noise level the scenario's p_flip rule refuses. (The trailing
     # colon keeps the row above its own test id.)
     (["rates", "--sweep", "0.9"], "--sweep:"),
+    # A threshold with no --n to deal shares at it.
+    (["keygen", "--t", "5"], "--t"),
     # A directory where the scenario file should be.
     (["simulate", "--config", "{tmp}"], "--config"),
 ]
@@ -301,8 +303,10 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, tmp_path, argv, flag):
     (["keygen", "--t", "1", "--n", "3", "--seed", "-1"], "seed"),
     (["keygen", "--t", "0", "--n", "200"], "n"),
     (["keygen", "--group", "kat", "--n", "11"], "n"),
+    # ... and judges the seed when it deals nothing.
+    (["keygen", "--seed", "-1"], "seed"),
 ], ids=["code_r", "t", "seed-enroll", "seed-auth", "n", "seed-keygen",
-        "n-keygen-cap", "n-keygen-kat"])
+        "n-keygen-cap", "n-keygen-kat", "seed-keygen-no-n"])
 def test_enroll_and_auth_flags_follow_the_scenario_rules(capsys, argv,
                                                          field):
     code, out, _ = run_cli(capsys, argv)

@@ -20,8 +20,9 @@ from faskit.protocol import (Case, CaseStrategy, DumbDevice, FaspService,
                              message_from_wire, message_to_wire,
                              pd_run_authentication, plaintext_scores,
                              request_challenge, signing_message_bytes)
-from faskit.protocol import _TRANSCRIPT_WINDOW
+from faskit.protocol import _TRANSCRIPT_WINDOW, MAX_WIRE_BYTES
 from faskit.sharing import ThresholdParams
+from faskit.simulator import SIZE_CAPS, ScenarioConfig, _Trial
 from faskit.thresholdsig import Signature
 from faskit.thresholdsig import verify as verify_signature
 
@@ -115,6 +116,53 @@ def test_deeply_nested_wire_line_is_a_parameter_error():
     # json's decoder raises RecursionError for nesting this deep.
     with pytest.raises(ParameterError, match="malformed wire line"):
         message_from_wire("[" * 100_000)
+
+
+def largest_honest_line():
+    """The wire line of a CASE 3 HelperDelivery at simulator.SIZE_CAPS on
+    prod2048, every value at its longest: n = 100 devices at t = 99 give
+    100 commitments, each p - 1, and the helper bits of a 256-bit share
+    repeated code_r = 101 times are all ones."""
+    group = get_group("prod2048")
+    n = SIZE_CAPS["n"]
+    code = CodeParams(m=group.q.bit_length(), r=SIZE_CAPS["code_r"])
+    msg = Message(
+        type=MessageType.HELPER_DELIVERY, sender="pd", receiver=f"dd{n}",
+        session_id="sp1-s999999",
+        payload={"helper": {"bits": "f" * (code.codeword_length // 4),
+                            "m": code.m, "r": code.r},
+                 "commitments": [format(group.p - 1, "x")] * n})
+    return msg, message_to_wire(msg)
+
+
+def test_largest_honest_message_fits_under_the_wire_cap():
+    msg, line = largest_honest_line()
+    assert len(line) == 58_116 <= MAX_WIRE_BYTES
+    assert message_from_wire(line) == msg
+
+
+def test_wire_line_over_the_cap_is_refused_before_parsing(monkeypatch):
+    msg, line = largest_honest_line()
+    pad = MAX_WIRE_BYTES + 1 - len(line)
+    line = message_to_wire(dataclasses.replace(
+        msg, session_id=msg.session_id + "0" * pad))
+    assert len(line) == MAX_WIRE_BYTES + 1
+
+    def loads(text):
+        raise AssertionError("the line reached json.loads")
+
+    monkeypatch.setattr(protocol.json, "loads", loads)
+    with pytest.raises(ParameterError, match="malformed wire line"):
+        message_from_wire(line)
+
+
+def test_wire_line_nested_under_the_cap_is_a_parameter_error():
+    # 5,000 deep is under the cap and past json's recursion limit.
+    line = "[" * 5_000
+    assert len(line) < MAX_WIRE_BYTES
+    with pytest.raises(ParameterError,
+                       match="malformed wire line: maximum recursion"):
+        message_from_wire(line)
 
 
 def test_signing_message_byte_layout():
@@ -408,6 +456,57 @@ def test_case3_flow_grants_and_erases_transient_shares(sim_group):
     for dd in dds:
         assert dd._signer is None
         assert "key_share_value" not in dd.persistent_state()
+
+
+def deliveries_to_dd1(trial, hooks):
+    """Run one session of `trial`'s user per transit hook in `hooks`
+    (None for none); the HelperDelivery to dd1 each session sent."""
+    deliveries = []
+
+    def spy(hook):
+        def deliver(msg):
+            if msg.type is MessageType.HELPER_DELIVERY \
+                    and msg.receiver == "dd1":
+                deliveries.append(msg)
+            return hook(msg) if hook else msg
+        return deliver
+
+    for now, hook in enumerate(hooks):
+        protocol.authenticate(trial.pd, trial.dds, trial.sp, now,
+                              trial.rng_nonce, transit_hook=spy(hook))
+    return deliveries
+
+
+def case3_trial():
+    return _Trial(ScenarioConfig(case=3, t=1, n=3, trials=1),
+                  random.Random(4))
+
+
+def test_case3_deliveries_share_the_enrolment_encoding():
+    first, second = deliveries_to_dd1(case3_trial(), [None, None])
+    assert first.payload == second.payload
+    assert first.payload["helper"] is not second.payload["helper"]
+    assert first.payload["helper"]["bits"] is second.payload["helper"]["bits"]
+    assert first.payload["commitments"] is not second.payload["commitments"]
+    assert all(a is b for a, b in zip(first.payload["commitments"],
+                                      second.payload["commitments"]))
+
+
+def test_case3_delivery_edited_in_place_changes_only_that_delivery():
+    def append_commitment(msg):
+        if msg.type is MessageType.HELPER_DELIVERY:
+            msg.payload["commitments"].append("1")
+        return msg
+
+    _, untouched = deliveries_to_dd1(case3_trial(), [None, None])
+    trial = case3_trial()
+    commitments = trial.pd.commitments.to_json()
+    state = trial.pd.persistent_state()
+    edited, following = deliveries_to_dd1(trial, [append_commitment, None])
+    assert edited.payload["commitments"] == commitments + ["1"]
+    assert following.payload == untouched.payload
+    assert trial.pd.commitments.to_json() == commitments
+    assert trial.pd.persistent_state() == state
 
 
 def test_low_score_aborts_before_any_signing(sim_group):

@@ -277,6 +277,20 @@ def test_estimate_rates_reports_monotone_frr():
     assert frrs[0] <= frrs[1] + 0.05 and frrs[1] <= frrs[2] + 0.05
 
 
+def test_estimate_rates_checks_the_whole_sweep_before_any_run(monkeypatch):
+    run = simulator.run_scenario
+    calls = []
+
+    def spy(config, transcript=None):
+        calls.append(config.p_flip)
+        return run(config, transcript)
+
+    monkeypatch.setattr(simulator, "run_scenario", spy)
+    with pytest.raises(ConfigError, match=r"p_flip: must lie in \[0, 0.5\]"):
+        estimate_rates(ScenarioConfig(trials=2), [0.0, 0.9])
+    assert calls == []
+
+
 def test_share_recovery_failure_rate_oracle():
     # m=16, r=5, p=0.1: binomial tail per block is 0.00856, so a share
     # survives with (1 - 0.00856)^16.
