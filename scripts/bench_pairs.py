@@ -9,8 +9,9 @@ untraced, for each workload; the pairs use seeds 1, 2, ... and the run
 length BENCHMARK.json fixes. Then it makes one traced run per side on
 one workload, at seed 0, and keeps the per-layer rows whose names start
 with the given prefixes. The output holds every run with the
-environment authbench recorded for it, each side's median and quartiles
-per end-to-end metric, the number of pairs the change won, a verdict
+environment authbench recorded for it, each run's timed attempts per
+side (see `workload_entry`), each side's median and quartiles per
+end-to-end metric, the number of pairs the change won, a verdict
 per metric (gain, worse, unresolved or same; see `verdict`), each side's
 line count of `src/faskit/*.py` (`src_lines`), and the host's platform
 and CPU.
@@ -108,6 +109,21 @@ def compare(parent_runs: list, change_runs: list, metrics: list) -> dict:
     return rows
 
 
+def workload_entry(runs: dict, metrics: list) -> dict:
+    """One workload's results from each side's runs, in seed order: the
+    failed and attempted operations summed per side, each run's timed
+    attempts per side, so a peak_rss_mb move can be read against how
+    many attempts the run made, the `compare` rows and the environments."""
+    return {
+        "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+        "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
+        "timed_attempts": {s: [r["timed_attempts"] for r in runs[s]]
+                           for s in runs},
+        "metrics": compare(runs["parent"], runs["change"], metrics),
+        "environments": {s: [r["environment"] for r in runs[s]]
+                         for s in runs}}
+
+
 def src_lines(checkout: Path) -> int:
     """The number of lines in the checkout's src/faskit/*.py."""
     return sum(len(path.read_text().splitlines())
@@ -168,13 +184,7 @@ def main(argv=None) -> int:
         result["workloads"][workload] = {
             "seeds": [1 + i for i in range(count)],
             "first_side": "alternating, parent first on the first seed",
-            "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-            "attempted": {s: sum(r["attempted"] for r in runs[s])
-                          for s in runs},
-            "metrics": compare(runs["parent"], runs["change"],
-                               spec["end_to_end"]),
-            "environments": {s: [r["environment"] for r in runs[s]]
-                             for s in runs}}
+            **workload_entry(runs, spec["end_to_end"])}
     for side in ("parent", "change"):
         report = run_bench(sides[side], args.trace_workload, 0, seconds, 1)
         result["traced"][side] = {

@@ -156,7 +156,7 @@ def _cmd_auth(args) -> int:
         modality = dd.modalities[0]
         dd.current_scores = {modality: scores[MODALITY_ORDER.index(modality)
                                               % len(scores)]}
-    readings = [ModalityReading(dd.device_id, m, score, 0)
+    readings = [ModalityReading(dd.entity_id, m, score, 0)
                 for dd in dds for m, score in dd.current_scores.items()]
     fused = fuse_local(readings, policy, 0)
 

@@ -67,6 +67,7 @@ from .thresholdsig import verify as verify_signature
 WIRE_VERSION = "FAS-v1"
 NONCE_BYTES = 32
 NONCE_TTL = 100
+MAX_OUTSTANDING = 128   # nonces the SP keeps per user
 SCORE_MODES = ("local-bypass", "cloud-plain", "cloud-encrypted")
 CLOUD_AGREEMENT_TOL = 0.01
 _TRANSCRIPT_WINDOW = 64
@@ -163,10 +164,11 @@ class CaseStrategy:
 
 class _Transcript:
     """Per-entity message log (audit support): the last
-    _TRANSCRIPT_WINDOW messages the entity sent or received, oldest
-    first, so a long-lived entity keeps bounded memory."""
+    _TRANSCRIPT_WINDOW messages the entity named `entity_id` sent or
+    received, oldest first, so a long-lived entity keeps bounded memory."""
 
-    def __init__(self):
+    def __init__(self, entity_id: str):
+        self.entity_id = entity_id
         self.transcript: deque = deque(maxlen=_TRANSCRIPT_WINDOW)
 
     def record(self, msg: Message) -> None:
@@ -180,17 +182,20 @@ class _Transcript:
 class ServiceProvider(_Transcript):
     """Issues single-use challenges and verifies signed responses.
 
-    A nonce is kept until a later challenge finds it older than the TTL;
-    a response carrying a nonce evicted that way is denied
+    A nonce is kept until a later challenge finds it older than the TTL,
+    or until its user's MAX_OUTSTANDING (128) newer nonces are kept, so a
+    flood of requests for one user evicts only that user's oldest nonce
+    each time. A response carrying an evicted nonce is denied
     "nonce-unknown", even one that was already used.
     """
 
     def __init__(self, sp_id: str, rng: random.Random):
-        super().__init__()
+        super().__init__(sp_id)
         self.sp_id = sp_id
         self._rng = rng
         self._users: dict = {}
         self._nonces: OrderedDict = OrderedDict()   # in issue order
+        self._outstanding: dict = {}   # user -> its nonces, in issue order
         self._session_counter = 0
 
     def register_user(self, record: RegistrationRecord) -> None:
@@ -209,6 +214,13 @@ class ServiceProvider(_Transcript):
             if now - oldest["issued"] <= NONCE_TTL:
                 break
             self._nonces.popitem(last=False)
+            theirs = self._outstanding[oldest["user_id"]]
+            theirs.popleft()
+            if not theirs:
+                del self._outstanding[oldest["user_id"]]
+        mine = self._outstanding.setdefault(user_id, deque())
+        if len(mine) == MAX_OUTSTANDING:
+            del self._nonces[mine.popleft()]
         nonce = self._rng.getrandbits(8 * NONCE_BYTES).to_bytes(
             NONCE_BYTES, "big")
         while nonce.hex() in self._nonces:
@@ -216,6 +228,7 @@ class ServiceProvider(_Transcript):
                 NONCE_BYTES, "big")
         self._nonces[nonce.hex()] = {"user_id": user_id, "issued": now,
                                      "used": False}
+        mine.append(nonce.hex())
         msg = Message(type=MessageType.CHALLENGE, sender=self.sp_id,
                       receiver="pd", session_id=session_id,
                       payload={"sp_id": self.sp_id, "nonce": nonce.hex()})
@@ -278,10 +291,8 @@ class FaspService(_Transcript):
     carry no SP identifier, so the service cannot tell where the user is
     authenticating."""
 
-    fasp_id = "fasp"
-
     def __init__(self):
-        super().__init__()
+        super().__init__("fasp")
         self._users: dict = {}   # user -> (policy, Paillier key or None)
 
     def register_policy(self, user_id: str, policy: FusionPolicy,
@@ -317,7 +328,7 @@ class FaspService(_Transcript):
         except MALFORMED:
             pass
         reply = Message(type=MessageType.SCORE_RESPONSE,
-                        sender=self.fasp_id, receiver=msg.sender,
+                        sender=self.entity_id, receiver=msg.sender,
                         session_id=msg.session_id, payload=payload)
         self.record(reply)
         return reply
@@ -394,9 +405,8 @@ class DumbDevice(_Transcript):
     """
 
     def __init__(self, index: int, modalities):
-        super().__init__()
+        super().__init__(f"dd{index}")
         self.index = index
-        self.device_id = f"dd{index}"
         self.modalities = list(modalities)
         # What the sensors would measure right now; set by the caller.
         self.current_scores: dict = {}
@@ -407,7 +417,7 @@ class DumbDevice(_Transcript):
         """The SensorReading payloads the device sends now, one per
         modality it has a score for. The score goes out as the sensor
         reports it; the PD judges it and drops a reading it cannot use."""
-        return [{"device_id": self.device_id, "modality": m.value,
+        return [{"device_id": self.entity_id, "modality": m.value,
                  "score": self.current_scores[m], "timestamp": now}
                 for m in self.modalities if m in self.current_scores]
 
@@ -437,7 +447,7 @@ class DumbDevice(_Transcript):
 
     def persistent_state(self) -> dict:
         """Everything this device keeps between sessions."""
-        state = {"device_id": self.device_id, "index": self.index,
+        state = {"device_id": self.entity_id, "index": self.index,
                  "modalities": [m.value for m in self.modalities]}
         if self._signer is not None:
             state["key_share_value"] = self._signer._share.value
@@ -454,11 +464,10 @@ class PersonalDevice(_Transcript):
 
     def __init__(self, user_id: str, policy: FusionPolicy,
                  score_mode: str = "local-bypass"):
-        super().__init__()
+        super().__init__("pd")
         if score_mode not in SCORE_MODES:
             raise ParameterError(f"unknown score mode {score_mode!r}")
         self.user_id = user_id
-        self.entity_id = "pd"
         self.policy = policy
         self.score_mode = score_mode
         self.strategy: CaseStrategy | None = None
@@ -582,6 +591,14 @@ class _Flow:
         self.messages.append(delivered)
         return delivered
 
+    def link(self, kind: MessageType, sender, receiver, payload) -> Message:
+        """Send a gateway-device message of `kind`, addressed from its two
+        parties' entity_ids and this flow's session."""
+        return self.send(Message(type=kind, sender=sender.entity_id,
+                                 receiver=receiver.entity_id,
+                                 session_id=self.session, payload=payload),
+                         sender, receiver)
+
 
 def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
                           now: int, rng: random.Random,
@@ -618,10 +635,8 @@ def pd_run_authentication(pd: PersonalDevice, dds, challenge: Message,
     # Step 3a: collect sensor readings from every live device.
     for dd in flow.dds:
         for reading in dd.read_sensor(now):
-            msg = Message(type=MessageType.SENSOR_READING,
-                          sender=dd.device_id, receiver=pd.entity_id,
-                          session_id=session, payload=reading)
-            parsed = _parse_reading(flow.send(msg, dd, pd).payload)
+            parsed = _parse_reading(flow.link(
+                MessageType.SENSOR_READING, dd, pd, reading).payload)
             if parsed is not None:
                 flow.readings.append(parsed)
 
@@ -713,7 +728,7 @@ def _compute_auth_score(flow: _Flow, now: int) -> AuthScore:
     # Note: no sp_id in the payload; the scoring service must not learn
     # where the user is authenticating.
     request = Message(type=MessageType.SCORE_REQUEST, sender=pd.entity_id,
-                      receiver=flow.fasp.fasp_id, session_id=flow.session,
+                      receiver=flow.fasp.entity_id, session_id=flow.session,
                       payload=payload)
     delivered = flow.send(request, pd, None)
     reply = flow.send(flow.fasp.handle_score_request(delivered), None, pd)
@@ -769,11 +784,9 @@ def _regenerate(flow: _Flow, dd: DumbDevice) -> DeviceSigner | None:
     helper = pd.helper_store.get(dd.index)
     if helper is None:
         return None
-    delivery = Message(type=MessageType.HELPER_DELIVERY, sender=pd.entity_id,
-                       receiver=dd.device_id, session_id=flow.session,
-                       payload={"helper": helper.to_json(),
-                                "commitments": pd.commitments.to_json()})
-    payload = flow.send(delivery, pd, dd).payload
+    payload = flow.link(MessageType.HELPER_DELIVERY, pd, dd,
+                        {"helper": helper.to_json(),
+                         "commitments": pd.commitments.to_json()}).payload
     try:
         return dd.receive_helper(
             HelperData.from_json(payload["helper"]),
@@ -797,15 +810,9 @@ def _exchange(flow: _Flow, signer_row, kind: MessageType, ask: dict,
     index, dd, signer = signer_row
     if dd is None:
         return sign(signer)
-    pd = flow.pd
-    flow.send(Message(type=kind, sender=pd.entity_id, receiver=dd.device_id,
-                      session_id=flow.session, payload=ask), pd, dd)
-    answer = flow.send(Message(type=kind, sender=dd.device_id,
-                               receiver=pd.entity_id,
-                               session_id=flow.session,
-                               payload={"index": index,
-                                        key: format(sign(signer), "x")}),
-                       dd, pd)
+    flow.link(kind, flow.pd, dd, ask)
+    answer = flow.link(kind, dd, flow.pd,
+                       {"index": index, key: format(sign(signer), "x")})
     try:
         if typed(answer.payload["index"], int) != index:
             raise ValueError("the answer names another signer")

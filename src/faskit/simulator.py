@@ -42,11 +42,12 @@ from .authscore import (FusionPolicy, Modality, max_fused_plaintext,
                         phe_encrypt, phe_keygen)
 from .errors import ConfigError, NondeterminismError
 from .fuzzyextractor import CodeParams, fe_enroll, fe_reproduce
+# Every trial runs through authenticate; pd_run_authentication is imported
+# only for authbench's tracer, which swaps it through vars(simulator).
 from .protocol import (Case, CaseStrategy, DumbDevice, FaspService, Message,
                        MessageType, PersonalDevice, ServiceProvider,
-                       authenticate, conclude, enroll, message_to_wire,
-                       pd_run_authentication, plaintext_scores,
-                       request_challenge)
+                       authenticate, enroll, message_to_wire,
+                       pd_run_authentication, plaintext_scores)
 from .sharing import ThresholdParams
 
 DEFAULT_WEIGHTS = {"gait": 0.4, "location": 0.3, "heartbeat": 0.3}
@@ -333,8 +334,8 @@ def _run_stolen_k_trial(trial: _Trial) -> list:
     0, so its gate opens on any score. It holds no PD share, so with
     k <= t it can never assemble a signature. Its traffic to the stolen
     devices stays off the recorded links: the trial records the request,
-    the challenge, the flow's last message and, if that reached the SP,
-    the SP's verdict."""
+    the challenge, the session's verdict and, when the SP gave it, the
+    AuthResponse it judged."""
     pd = trial.pd
     rogue = PersonalDevice(user_id=pd.user_id,
                            policy=replace(pd.policy, theta=0.0))
@@ -343,11 +344,11 @@ def _run_stolen_k_trial(trial: _Trial) -> list:
     rogue.pubkey = pd.pubkey
     rogue.commitments = pd.commitments
     rogue.helper_store = pd.helper_store
-    req, challenge = request_challenge(pd.user_id, trial.sp, now=0)
-    flow = pd_run_authentication(
-        rogue, trial.dds[:trial.config.adversary_k], challenge, now=0,
-        rng=trial.rng_nonce)
-    return [req, challenge, *conclude(rogue, trial.sp, flow[-1:], now=0)]
+    messages = authenticate(rogue, trial.dds[:trial.config.adversary_k],
+                            trial.sp, now=0, rng=trial.rng_nonce)
+    ending = messages[-2:] if messages[-1].sender == trial.sp.sp_id \
+        else messages[-1:]
+    return messages[:2] + ending
 
 
 def _make_tamper_hook(trial: _Trial):

@@ -44,3 +44,25 @@ def test_compare_gives_each_metric_a_verdict(metric, old, new, expected):
                               [metric])[metric["name"]]
     assert row["verdict"] == expected
     assert row["pairs"] == len(old)
+
+
+def test_workload_entry_keeps_each_runs_timed_attempts():
+    # Three pairs whose runs made different numbers of attempts: the entry
+    # sums them per side and keeps each run's count in seed order, so a
+    # peak_rss_mb move can be read against the attempts behind it.
+    def side(rss, attempts):
+        return [{"metrics": {"peak_rss_mb": {"value": v}}, "failed": 0,
+                 "attempted": n, "timed_attempts": n,
+                 "environment": {"load_1m": 0.5}}
+                for v, n in zip(rss, attempts)]
+
+    runs = {"parent": side([23.0, 23.1, 22.9], [1500, 1520, 1480]),
+            "change": side([24.1, 24.3, 24.0], [1900, 1950, 1880])}
+    entry = bench_pairs.workload_entry(runs, [RSS])
+    assert entry["timed_attempts"] == {"parent": [1500, 1520, 1480],
+                                       "change": [1900, 1950, 1880]}
+    assert entry["attempted"] == {"parent": 4500, "change": 5730}
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert entry["metrics"]["peak_rss_mb"]["change_runs"] == [24.1, 24.3,
+                                                             24.0]
+    assert len(entry["environments"]["change"]) == 3

@@ -1328,6 +1328,45 @@ def test_service_provider_forgets_nonces_past_the_ttl(sim_group):
         "granted": False, "reason": "nonce-unknown"}
 
 
+def test_service_provider_keeps_at_most_max_outstanding_nonces_per_user(
+        sim_group):
+    # A second registered user, under the same key, is flooded with 10 x
+    # the cap of challenges at one `now`. Only the cap's newest stay, so
+    # its first, already answered, reads nonce-unknown; user1's challenge,
+    # issued before the flood, still grants.
+    pd, dds, sp, _, rng, record = make_user(Case.CASE2, 1, 3, sim_group)
+    sp.register_user(dataclasses.replace(record, user_id="flooded"))
+    _, fresh = request_challenge("user1", sp, now=0)
+    _, first = request_challenge("flooded", sp, now=0)
+    response = pd_run_authentication(pd, dds, first, 0, rng)[-1]
+    for _ in range(10 * protocol.MAX_OUTSTANDING - 1):
+        request_challenge("flooded", sp, now=0)
+    assert sum(entry["user_id"] == "flooded"
+               for entry in sp._nonces.values()) == protocol.MAX_OUTSTANDING
+    assert len(sp._nonces) == protocol.MAX_OUTSTANDING + 1
+    assert sp.verify(response, now=0).payload == {
+        "granted": False, "reason": "nonce-unknown"}
+    flow = pd_run_authentication(pd, dds, fresh, 0, rng)
+    assert conclude(pd, sp, flow, now=0)[-1].payload == {
+        "granted": True, "reason": "ok"}
+
+
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("score_mode", protocol.SCORE_MODES)
+def test_every_recorded_message_names_its_party(case, score_mode):
+    # Each message in the gateway's, a device's or the scoring service's
+    # transcript names that party's entity_id as its sender or receiver.
+    pd, dds, sp, fasp, rng, _ = make_user(case, 1, 3, SIM,
+                                          score_mode=score_mode)
+    session = protocol.authenticate(pd, dds, sp, 0, rng, fasp)
+    assert session[-1].payload == {"granted": True, "reason": "ok"}
+    parties = [pd, *dds, *([fasp] if fasp else [])]
+    for party in parties:
+        assert party.transcript
+        assert all(party.entity_id in (msg.sender, msg.receiver)
+                   for msg in party.transcript)
+
+
 def test_local_bypass_sends_no_fasp_traffic(sim_group):
     pd, dds, sp, _, rng, _ = make_user(Case.CASE2, 1, 3, sim_group)
     messages, _ = authenticate(pd, dds, sp, rng)
